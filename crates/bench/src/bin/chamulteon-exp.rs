@@ -10,8 +10,6 @@
 //!                  [--slo SECONDS] [--series]
 //!   chamulteon-exp bench [--setup NAME] [--iters N] [--threads N]
 //!                  [--out FILE.json] [--quick]
-//!   chamulteon-exp graph-scale [--sizes N,N,..] [--iters N] [--threads N]
-//!                  [--horizon N] [--seed N] [--out FILE.json] [--quick]
 //!   chamulteon-exp des-scale [--duration SECONDS] [--seed N]
 //!                  [--out FILE.json] [--quick]
 //!   chamulteon-exp trace [--setup NAME] [--scaler NAME] [--faults CLASS]
@@ -43,10 +41,7 @@
 )]
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately rejects NaN
 
-use chamulteon::{ArbitrationPolicy, ChamulteonConfig, ChargingModel, RetryPolicy};
-use chamulteon_bench::graph_scale::{
-    cycle_rates, decisions_agree, run_proactive_cycle_path, CyclePath,
-};
+use chamulteon::{ArbitrationPolicy, ChargingModel, RetryPolicy};
 use chamulteon_bench::setups;
 use chamulteon_bench::{
     default_threads, des_scale, evaluation_grid, evaluation_grid_seq, run_des_scale_case,
@@ -56,7 +51,7 @@ use chamulteon_bench::{
 use chamulteon_conformance::{self as conformance, ConformanceConfig};
 use chamulteon_metrics::{render_table, DEMAND_QUANTILE};
 use chamulteon_obs::{jsonl, EventKind, MetricsRegistry, Obs, Winner, EVENT_KIND_CODES};
-use chamulteon_perfmodel::{topology, ApplicationModel, TopologyFamily};
+use chamulteon_perfmodel::ApplicationModel;
 use chamulteon_queueing::{capacity, CapacityCache};
 use chamulteon_sim::{DeploymentProfile, SloPolicy};
 use chamulteon_workload::LoadTrace;
@@ -171,7 +166,6 @@ fn usage() -> &'static str {
      \n\
      See also: chamulteon-exp trace --help (decision-provenance JSONL traces),\n\
      chamulteon-exp bench --help (solver/grid timings),\n\
-     chamulteon-exp graph-scale --help (thousand-service cycle timings),\n\
      chamulteon-exp des-scale --help (event-core pure-DES vs hybrid timings),\n\
      chamulteon-exp conformance --help (differential-oracle verdict) and\n\
      chamulteon-exp multi-tenant --help (shared-budget cluster arbitration)."
@@ -459,313 +453,6 @@ fn bench_main(argv: &[String]) -> ExitCode {
         json_stat(&optimized),
         speedup_grid,
         identical,
-    );
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {}", args.out);
-    ExitCode::SUCCESS
-}
-
-// --- `graph-scale` subcommand -------------------------------------------
-
-struct GraphScaleArgs {
-    sizes: Vec<usize>,
-    iters: usize,
-    threads: usize,
-    horizon: usize,
-    seed: u64,
-    out: String,
-}
-
-fn parse_graph_scale_args(argv: &[String]) -> Result<GraphScaleArgs, String> {
-    let mut args = GraphScaleArgs {
-        sizes: vec![10, 100, 1000],
-        iters: 5,
-        threads: default_threads(),
-        horizon: 12,
-        seed: 7,
-        out: "BENCH_4.json".to_owned(),
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} requires a value"))
-        };
-        match flag.as_str() {
-            "--sizes" => {
-                args.sizes = value("--sizes")?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("bad --sizes: {e}"))?;
-            }
-            "--iters" => {
-                args.iters = value("--iters")?
-                    .parse()
-                    .map_err(|e| format!("bad --iters: {e}"))?
-            }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?
-            }
-            "--horizon" => {
-                args.horizon = value("--horizon")?
-                    .parse()
-                    .map_err(|e| format!("bad --horizon: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--out" => args.out = value("--out")?,
-            "--quick" => {
-                args.sizes = vec![10, 100];
-                args.iters = args.iters.min(2);
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown graph-scale flag `{other}`")),
-        }
-    }
-    if args.sizes.is_empty() || args.sizes.contains(&0) {
-        return Err("--sizes needs at least one positive size".to_owned());
-    }
-    args.iters = args.iters.max(1);
-    args.horizon = args.horizon.max(1);
-    Ok(args)
-}
-
-fn graph_scale_usage() -> &'static str {
-    "chamulteon-exp graph-scale — time one full proactive cycle on large graphs\n\
-     \n\
-     usage: chamulteon-exp graph-scale [--sizes N,N,..] [--iters N] [--threads N]\n\
-            [--horizon N] [--seed N] [--out FILE.json] [--quick]\n\
-     \n\
-     For each service count (default 10,100,1000) and each synthetic topology\n\
-     family (chain, fan, diamond, scale-free), times one full proactive cycle\n\
-     (a horizon-step Algorithm 1 loop) through three decision paths: the\n\
-     legacy sequential baseline (per-call topological re-sort, per-service\n\
-     locked cache lookups), the arena-batched path, and the batched path with\n\
-     solve batches sharded across worker threads — cold cache and warm cache,\n\
-     asserting all paths produce bit-identical targets. Writes BENCH_4.json.\n\
-     --quick drops the 1000-service point and caps iterations for CI."
-}
-
-/// Per-(size, family) measurement row.
-struct GraphScaleRow {
-    family: &'static str,
-    legacy_cold: Stat,
-    batched_cold: Stat,
-    sharded_cold: Stat,
-    legacy_warm: Stat,
-    batched_warm: Stat,
-    sharded_warm: Stat,
-    lookups_legacy: u64,
-    lookups_batched: u64,
-}
-
-fn graph_scale_main(argv: &[String]) -> ExitCode {
-    let args = match parse_graph_scale_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{}", graph_scale_usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {msg}\n\n{}", graph_scale_usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = ChamulteonConfig::default();
-    let metrics = MetricsRegistry::new();
-    let guard = |x: f64| x.max(1e-9);
-    let mut size_blocks: Vec<String> = Vec::new();
-
-    for &size in &args.sizes {
-        eprintln!(
-            "graph-scale: {size} services x {} families, horizon {}, {} iter(s), {} thread(s)",
-            TopologyFamily::ALL.len(),
-            args.horizon,
-            args.iters,
-            args.threads
-        );
-        let base_rate = 5.0 * size as f64;
-        let rates = cycle_rates(base_rate, args.horizon);
-        let mut rows: Vec<GraphScaleRow> = Vec::new();
-
-        for family in TopologyFamily::ALL {
-            let model = match topology::model(family, size, args.seed) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("error: cannot build {} model at {size}: {e}", family.name());
-                    return ExitCode::FAILURE;
-                }
-            };
-
-            // Runtime bit-identity assertion across all three paths.
-            let run = |path: CyclePath| {
-                let cache = CapacityCache::new();
-                run_proactive_cycle_path(&cache, &model, &rates, &config, path)
-            };
-            let legacy_targets = run(CyclePath::Legacy);
-            let batched_targets = run(CyclePath::Batched);
-            let sharded_targets = run(CyclePath::Sharded(args.threads));
-            if !decisions_agree(&legacy_targets, &batched_targets)
-                || !decisions_agree(&batched_targets, &sharded_targets)
-            {
-                eprintln!(
-                    "error: decision paths diverged on {} at {size} services",
-                    family.name()
-                );
-                return ExitCode::FAILURE;
-            }
-
-            // Cache-lookup counts for one cold cycle: the batched path
-            // answers by corner evaluation, so it issues zero memo
-            // lookups for the same decisions.
-            let count_lookups = |path: CyclePath| {
-                let cache = CapacityCache::new();
-                let _ = black_box(run_proactive_cycle_path(
-                    &cache, &model, &rates, &config, path,
-                ));
-                let s = cache.stats();
-                s.hits + s.misses
-            };
-            let lookups_legacy = count_lookups(CyclePath::Legacy);
-            let lookups_batched = count_lookups(CyclePath::Batched);
-
-            // Cold: a fresh cache every iteration.
-            let time_cold = |path: CyclePath| {
-                time_iters(args.iters, || {
-                    let cache = CapacityCache::new();
-                    let _ = black_box(run_proactive_cycle_path(
-                        &cache, &model, &rates, &config, path,
-                    ));
-                })
-            };
-            let legacy_cold = time_cold(CyclePath::Legacy);
-            let batched_cold = time_cold(CyclePath::Batched);
-            let sharded_cold = time_cold(CyclePath::Sharded(args.threads));
-
-            // Warm: one shared cache primed by a full cycle, then timed.
-            let warm_cache = CapacityCache::new();
-            let _ = black_box(run_proactive_cycle_path(
-                &warm_cache,
-                &model,
-                &rates,
-                &config,
-                CyclePath::Batched,
-            ));
-            let time_warm = |path: CyclePath| {
-                time_iters(args.iters, || {
-                    let _ = black_box(run_proactive_cycle_path(
-                        &warm_cache,
-                        &model,
-                        &rates,
-                        &config,
-                        path,
-                    ));
-                })
-            };
-            let legacy_warm = time_warm(CyclePath::Legacy);
-            let batched_warm = time_warm(CyclePath::Batched);
-            let sharded_warm = time_warm(CyclePath::Sharded(args.threads));
-
-            rows.push(GraphScaleRow {
-                family: family.name(),
-                legacy_cold: stat(&legacy_cold),
-                batched_cold: stat(&batched_cold),
-                sharded_cold: stat(&sharded_cold),
-                legacy_warm: stat(&legacy_warm),
-                batched_warm: stat(&batched_warm),
-                sharded_warm: stat(&sharded_warm),
-                lookups_legacy,
-                lookups_batched,
-            });
-        }
-
-        // Per-size report: one table, aggregate totals over all families.
-        let total_legacy: f64 = rows.iter().map(|r| r.legacy_cold.median).sum();
-        let total_batched: f64 = rows.iter().map(|r| r.batched_cold.median).sum();
-        let total_sharded: f64 = rows.iter().map(|r| r.sharded_cold.median).sum();
-        let speedup_batched = total_legacy / guard(total_batched);
-        let speedup_sharded = total_legacy / guard(total_sharded);
-        println!("graph-scale, {size} services (cold-cache medians, one full cycle):");
-        println!(
-            "  {:<11} {:>12} {:>12} {:>12} {:>9} {:>18}",
-            "family", "legacy ms", "batched ms", "sharded ms", "speedup", "memo lookups"
-        );
-        for row in &rows {
-            println!(
-                "  {:<11} {:>12.3} {:>12.3} {:>12.3} {:>8.2}x {:>8} -> {:<8}",
-                row.family,
-                row.legacy_cold.median,
-                row.batched_cold.median,
-                row.sharded_cold.median,
-                row.legacy_cold.median / guard(row.sharded_cold.median),
-                row.lookups_legacy,
-                row.lookups_batched,
-            );
-        }
-        println!(
-            "  all-families total: legacy {total_legacy:.3} ms, batched {total_batched:.3} ms \
-             ({speedup_batched:.2}x), sharded {total_sharded:.3} ms ({speedup_sharded:.2}x)"
-        );
-        metrics.set_gauge(&format!("graph_scale.{size}.legacy_cold_ms"), total_legacy);
-        metrics.set_gauge(
-            &format!("graph_scale.{size}.batched_cold_ms"),
-            total_batched,
-        );
-        metrics.set_gauge(
-            &format!("graph_scale.{size}.sharded_cold_ms"),
-            total_sharded,
-        );
-        metrics.set_gauge(
-            &format!("graph_scale.{size}.speedup_sharded"),
-            speedup_sharded,
-        );
-
-        let family_json: Vec<String> = rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "      {{\n        \"family\": \"{}\",\n        \"legacy_cold_ms\": {},\n        \"batched_cold_ms\": {},\n        \"sharded_cold_ms\": {},\n        \"legacy_warm_ms\": {},\n        \"batched_warm_ms\": {},\n        \"sharded_warm_ms\": {},\n        \"cache_lookups_legacy\": {},\n        \"cache_lookups_batched\": {},\n        \"speedup_sharded_vs_legacy_cold\": {:.3}\n      }}",
-                    row.family,
-                    json_stat(&row.legacy_cold),
-                    json_stat(&row.batched_cold),
-                    json_stat(&row.sharded_cold),
-                    json_stat(&row.legacy_warm),
-                    json_stat(&row.batched_warm),
-                    json_stat(&row.sharded_warm),
-                    row.lookups_legacy,
-                    row.lookups_batched,
-                    row.legacy_cold.median / guard(row.sharded_cold.median),
-                )
-            })
-            .collect();
-        size_blocks.push(format!(
-            "    {{\n      \"services\": {size},\n      \"total_legacy_cold_ms\": {total_legacy:.3},\n      \"total_batched_cold_ms\": {total_batched:.3},\n      \"total_sharded_cold_ms\": {total_sharded:.3},\n      \"speedup_batched_vs_legacy\": {speedup_batched:.3},\n      \"speedup_sharded_vs_legacy\": {speedup_sharded:.3},\n      \"families\": [\n{}\n      ]\n    }}",
-            family_json.join(",\n")
-        ));
-    }
-
-    println!("metrics:");
-    for line in metrics.snapshot().lines() {
-        println!("  {line}");
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"graph-scale proactive cycle: legacy vs batched vs sharded\",\n  \"horizon\": {},\n  \"iters\": {},\n  \"threads\": {},\n  \"seed\": {},\n  \"bit_identical\": true,\n  \"sizes\": [\n{}\n  ]\n}}\n",
-        args.horizon,
-        args.iters,
-        args.threads,
-        args.seed,
-        size_blocks.join(",\n")
     );
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("error: cannot write {}: {e}", args.out);
@@ -1351,18 +1038,14 @@ fn render_decision(event: &chamulteon_obs::Event) -> Option<String> {
         ),
         _ => "-".to_owned(),
     };
-    let cache = match p.cache_hit {
-        Some(true) => "hit",
-        Some(false) => "miss",
-        None => "-",
-    };
+    let sizing = p.sizing.map_or("-", |sizing| sizing.as_code());
     let fox = match p.fox_suppressed {
         Some(true) => "suppressed",
         Some(false) => "passed",
         None => "-",
     };
     Some(format!(
-        "t={:>7.0}  tick={:<4} s{} {}  {} -> {}  rate={:.1}  demand={:.4}  forecast={}  cache={}  fox={}",
+        "t={:>7.0}  tick={:<4} s{} {}  {} -> {}  rate={:.1}  demand={:.4}  forecast={}  sizing={}  fox={}",
         event.time,
         p.tick,
         service,
@@ -1372,7 +1055,7 @@ fn render_decision(event: &chamulteon_obs::Event) -> Option<String> {
         p.measured_rate,
         p.demand,
         forecast,
-        cache,
+        sizing,
         fox,
     ))
 }
@@ -1506,9 +1189,6 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("bench") {
         return bench_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("graph-scale") {
-        return graph_scale_main(&argv[1..]);
     }
     if argv.first().map(String::as_str) == Some("des-scale") {
         return des_scale_main(&argv[1..]);

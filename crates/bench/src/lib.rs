@@ -33,7 +33,7 @@
 // The bench crate is the experiment harness (layer 5). Casts size small
 // loop/display counts from bounded trace durations; `expect` is allowed
 // only in the table/setup plumbing — the measurement loop itself
-// (`drivers`, `experiment`, `robustness`, `graph_scale`) is decision-path
+// (`drivers`, `experiment`, `robustness`) is decision-path
 // code and kept panic-free, enforced by `xtask audit` rule R1.
 #![allow(
     clippy::expect_used,
@@ -48,7 +48,6 @@
 pub mod des_scale;
 pub mod drivers;
 pub mod experiment;
-pub mod graph_scale;
 pub mod multi_tenant;
 pub mod paper;
 pub mod pool;
@@ -61,9 +60,6 @@ pub use experiment::{
     run_experiment, run_experiment_observed, run_experiment_on, run_experiment_recovered,
     run_experiment_with_faults, CoreKind, ExperimentOutcome, ExperimentSpec, FaultedOutcome,
     SimCore,
-};
-pub use graph_scale::{
-    proactive_decisions_legacy, proactive_decisions_sharded, run_proactive_cycle_path, CyclePath,
 };
 pub use multi_tenant::{run_multi_tenant, MultiTenantOutcome, MultiTenantSpec, TenantReport};
 pub use paper::{run_lineup, run_lineup_seq, run_lineup_with_threads};

@@ -1,11 +1,7 @@
-//! Property tests for the bench harness's parallel runner and the
-//! graph-scale sizing paths: fanning work out over threads must never
-//! change what is computed, only when.
+//! Property tests for the bench harness's parallel runner: fanning work
+//! out over threads must never change what is computed, only when.
 
-use chamulteon::{proactive_decisions, ChamulteonConfig};
-use chamulteon_bench::{parallel_map, proactive_decisions_legacy, proactive_decisions_sharded};
-use chamulteon_perfmodel::{topology, TopologyFamily};
-use chamulteon_queueing::CapacityCache;
+use chamulteon_bench::parallel_map;
 use proptest::prelude::*;
 
 proptest! {
@@ -32,35 +28,5 @@ proptest! {
     ) {
         let f = |i: usize, &x: &i64| x.wrapping_mul(31).wrapping_sub(i as i64);
         prop_assert_eq!(parallel_map(&items, a, f), parallel_map(&items, b, f));
-    }
-
-    /// Sharded sizing is pinned to the exact sequential Algorithm 1: for
-    /// any topology family, size, entry rate, current deployment, and
-    /// thread count, `proactive_decisions_sharded` returns bit-identical
-    /// decisions to `chamulteon::proactive_decisions` — and so does the
-    /// legacy (seed-faithful) reimplementation the benchmark compares
-    /// against.
-    #[test]
-    fn sharded_sizing_matches_sequential_exact(
-        fam_index in 0usize..4,
-        n in 1usize..48,
-        seed in 0u64..500,
-        rate in 0.0f64..10_000.0,
-        current in prop::collection::vec(0u32..200, 0..48),
-        threads in 1usize..9,
-    ) {
-        let fam = TopologyFamily::ALL[fam_index];
-        let model = topology::model(fam, n, seed).expect("generated model is valid");
-        let config = ChamulteonConfig::default();
-        let exact = proactive_decisions(&model, rate, &[], &current, &config);
-        let cache = CapacityCache::new();
-        prop_assert_eq!(
-            &proactive_decisions_sharded(&cache, &model, rate, &[], &current, &config, threads),
-            &exact
-        );
-        prop_assert_eq!(
-            &proactive_decisions_legacy(&cache, &model, rate, &[], &current, &config),
-            &exact
-        );
     }
 }

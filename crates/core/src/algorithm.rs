@@ -1,9 +1,9 @@
 //! Algorithm 1 of the paper: the queueing-theoretic decision logic.
 
 use crate::config::ChamulteonConfig;
+use chamulteon_obs::Sizing;
 use chamulteon_perfmodel::ApplicationModel;
 use chamulteon_queueing::capacity::min_instances_for_utilization;
-use chamulteon_queueing::CapacityCache;
 
 /// Sizes one service for an offered arrival rate — the while-loops of
 /// Algorithm 1 in closed form.
@@ -20,8 +20,7 @@ pub fn size_service(
     max_instances: u32,
     config: &ChamulteonConfig,
 ) -> u32 {
-    size_service_with(
-        &mut |rate, demand, rho| min_instances_for_utilization(rate, demand, rho),
+    sized(
         arrival_rate,
         service_demand,
         current,
@@ -29,149 +28,36 @@ pub fn size_service(
         max_instances,
         config,
     )
+    .0
 }
 
-/// [`size_service`] answered through a shared [`CapacityCache`]: repeated
-/// (rate, demand) sizing queries — ubiquitous across the forecast horizon
-/// and across monitoring intervals with similar load — hit the memo
-/// instead of re-running the solver.
-pub fn size_service_cached(
-    cache: &CapacityCache,
+/// [`size_service`] that also reports whether the utilization left the
+/// hold band (`Solved`) or the current count was kept (`Held`).
+fn sized(
     arrival_rate: f64,
     service_demand: f64,
     current: u32,
     min_instances: u32,
     max_instances: u32,
     config: &ChamulteonConfig,
-) -> u32 {
-    size_service_with(
-        &mut |rate, demand, rho| cache.min_instances_for_utilization(rate, demand, rho),
-        arrival_rate,
-        service_demand,
-        current,
-        min_instances,
-        max_instances,
-        config,
-    )
-}
-
-/// The shared sizing logic; `solve(λ, D, ρ_target)` answers the
-/// utilization inversion (exactly or through a cache).
-fn size_service_with(
-    solve: &mut dyn FnMut(f64, f64, f64) -> u32,
-    arrival_rate: f64,
-    service_demand: f64,
-    current: u32,
-    min_instances: u32,
-    max_instances: u32,
-    config: &ChamulteonConfig,
-) -> u32 {
+) -> (u32, Sizing) {
     let current = current.max(1);
-    let load = arrival_rate.max(0.0) * service_demand.max(0.0);
-    let rho = load / f64::from(current);
-    let desired = if rho >= config.rho_upper || rho < config.rho_lower {
-        solve(
-            arrival_rate.max(0.0),
-            service_demand.max(0.0),
-            config.rho_target,
+    let rate = arrival_rate.max(0.0);
+    let demand = service_demand.max(0.0);
+    let (desired, sizing) = if outside_hold_band(
+        rate * demand,
+        f64::from(current),
+        config.rho_upper,
+        config.rho_lower,
+    ) {
+        (
+            min_instances_for_utilization(rate, demand, config.rho_target),
+            Sizing::Solved,
         )
     } else {
-        current
+        (current, Sizing::Held)
     };
-    desired.clamp(min_instances, max_instances)
-}
-
-/// The full proactive decision pass (Algorithm 1) for one point in time:
-/// takes the forecast arrival rate at the user-facing service, estimates
-/// the per-service arrival rates along the invocation graph
-/// (`estimateArrivals`, line 5 — capacity-throttled by the *decided*
-/// instance counts of predecessor services so that succeeding services are
-/// scaled **with** their predecessors), and sizes every service.
-///
-/// Returns the target instance count per service.
-///
-/// The crucial coordination property: because predecessors are sized
-/// *first* and the rate forwarded downstream uses their **new** capacity,
-/// a scale-up at the entry immediately triggers matching scale-ups
-/// downstream in the same decision round — "scaling can be triggered
-/// earlier on succeeding services. This approach allows removing
-/// oscillations" (§III-A).
-pub fn proactive_decisions(
-    model: &ApplicationModel,
-    forecast_entry_rate: f64,
-    estimated_demands: &[f64],
-    current_instances: &[u32],
-    config: &ChamulteonConfig,
-) -> Vec<u32> {
-    proactive_decisions_with(
-        &mut |rate, demand, rho| min_instances_for_utilization(rate, demand, rho),
-        model,
-        forecast_entry_rate,
-        estimated_demands,
-        current_instances,
-        config,
-        &mut |_, _| {},
-    )
-}
-
-/// [`proactive_decisions`] answered through a shared [`CapacityCache`].
-///
-/// The cache evaluates the solver at a quantized key (buckets of 2^12
-/// ulps, see the cache docs); the 2⁻⁴⁰ relative rounding this introduces
-/// is absorbed by the solver's own 1e-9 integer snap, so the decision per
-/// tick is the same while repeated sizing queries across the forecast
-/// horizon become hash lookups.
-///
-/// Internally this runs the staged pass
-/// ([`proactive_decisions_staged`]): per arena stage, the capacity solves
-/// are collected in stage order and answered through
-/// the cache's hoisted [`UtilizationCornerSolver`] — the quantized bucket
-/// corner evaluated in closed form directly, since for the utilization
-/// inversion the memo probe costs more than the solve it would save. The
-/// solver is built once per pass (target sanitized and quantized up
-/// front) and the solve loop is monomorphized into the stage walk, so a
-/// singleton stage pays a handful of inlined float ops per solve. Targets
-/// are bit-identical to the sequential per-service memoized path (a
-/// Utilization memo entry is exactly that corner evaluation, and the
-/// solver is pure); only the lock, hash and map-growth traffic
-/// disappears.
-pub fn proactive_decisions_cached(
-    cache: &CapacityCache,
-    model: &ApplicationModel,
-    forecast_entry_rate: f64,
-    estimated_demands: &[f64],
-    current_instances: &[u32],
-    config: &ChamulteonConfig,
-) -> Vec<u32> {
-    let corner = cache.utilization_corner_solver(config.rho_target);
-    proactive_decisions_staged(
-        model,
-        forecast_entry_rate,
-        estimated_demands,
-        current_instances,
-        config,
-        &mut |cells: &[SizingCell], solved: &mut Vec<u32>| {
-            solved.clear();
-            solved.reserve(cells.len());
-            solved.extend(
-                cells
-                    .iter()
-                    .map(|c| corner.solve(c.arrival_rate, c.service_demand)),
-            );
-        },
-    )
-}
-
-/// One capacity-solve request of the staged decision pass: an
-/// offered arrival rate and a service demand to size for (the utilization
-/// target comes from the shared config). Inputs are already clamped
-/// non-negative, exactly as [`size_service`] passes them to its solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SizingCell {
-    /// The offered (predecessor-forwarded) arrival rate, ≥ 0.
-    pub arrival_rate: f64,
-    /// The estimated service demand in seconds, ≥ 0.
-    pub service_demand: f64,
+    (desired.clamp(min_instances, max_instances), sizing)
 }
 
 /// The hold-band decision of [`size_service`] —
@@ -213,274 +99,66 @@ fn outside_hold_band(load: f64, current: f64, rho_upper: f64, rho_lower: f64) ->
     rho >= rho_upper || rho < rho_lower
 }
 
-/// The staged decision pass: Algorithm 1 restructured around the model's
-/// arena so a caller can answer each stage's capacity solves however it
-/// likes — batched through one cache lock ([`proactive_decisions_cached`])
-/// or sharded across worker threads (the bench crate's graph-scale
-/// runner).
+/// The full proactive decision pass (Algorithm 1) for one point in time:
+/// takes the forecast arrival rate at the user-facing service, estimates
+/// the per-service arrival rates along the invocation graph
+/// (`estimateArrivals`, line 5 — capacity-throttled by the *decided*
+/// instance counts of predecessor services so that succeeding services are
+/// scaled **with** their predecessors), and sizes every service.
 ///
-/// Per arena stage (a maximal prefix of the canonical topological order
-/// whose services don't call each other):
+/// Returns the target instance count per service.
 ///
-/// 1. every stage service is hold-band checked against its offered rate
-///    (services inside the band keep their clamped current count and issue
-///    no solve),
-/// 2. the remaining services' `(rate, demand)` queries are collected into
-///    a list of [`SizingCell`]s in stage order — duplicates included: the
-///    walk does not dedupe, because a solver cheap enough to batch (the
-///    corner evaluation) costs less per query than sorting the keys
-///    would, and the memoized batch entry point dedupes for free through
-///    the memo itself (the first occurrence misses, the rest hit under
-///    the same lock),
-/// 3. `run_batch(cells, solved)` answers them into a reused output buffer
-///    (one raw instance count per cell, in order; a short fill degrades
-///    to a count of 1),
-/// 4. each pending service gets its cell's answer clamped into its own
-///    `[min, max]` bounds (cells and pending services correspond by
-///    position),
-/// 5. the stage's completed rates are forwarded along the graph
-///    **sequentially in canonical order**, so every float accumulation
-///    into a downstream service's offered rate happens in exactly the
-///    order the sequential pass uses.
-///
-/// Because stages partition the canonical order, and no service's offered
-/// rate is read before all its predecessors have forwarded (predecessors
-/// always sit in earlier stages), the returned targets are bit-identical
-/// to [`proactive_decisions`] with the same solver — regardless of how
-/// `run_batch` schedules the solves internally. Backpressure remains a
-/// sequential epilogue, issuing singleton batches in service-index order.
-pub fn proactive_decisions_staged<F>(
+/// The crucial coordination property: because predecessors are sized
+/// *first* and the rate forwarded downstream uses their **new** capacity,
+/// a scale-up at the entry immediately triggers matching scale-ups
+/// downstream in the same decision round — "scaling can be triggered
+/// earlier on succeeding services. This approach allows removing
+/// oscillations" (§III-A).
+pub fn proactive_decisions(
     model: &ApplicationModel,
     forecast_entry_rate: f64,
     estimated_demands: &[f64],
     current_instances: &[u32],
     config: &ChamulteonConfig,
-    run_batch: &mut F,
-) -> Vec<u32>
-where
-    F: FnMut(&[SizingCell], &mut Vec<u32>) + ?Sized,
-{
-    let arena = model.arena();
-    let n = arena.node_count();
-    // With no estimates at all, the sanitized demand vector IS the
-    // arena's nominal-demand cache (every entry finite and positive by
-    // construction) — borrow it instead of copying 1000 floats per call.
-    let demands_storage: Vec<f64>;
-    let demands: &[f64] = if estimated_demands.is_empty() {
-        arena.nominal_demands()
-    } else {
-        demands_storage = (0..n)
-            .map(|i| {
-                estimated_demands
-                    .get(i)
-                    .copied()
-                    .filter(|d| d.is_finite() && *d > 0.0)
-                    .unwrap_or_else(|| arena.nominal_demand(i))
-            })
-            .collect();
-        &demands_storage
-    };
-    let mut targets: Vec<u32> = (0..n)
-        .map(|i| {
-            current_instances
-                .get(i)
-                .copied()
-                .unwrap_or_else(|| arena.initial_instances(i))
-                .max(1)
-        })
-        .collect();
-    let mut offered = vec![0.0; n];
-    if n > 0 {
-        offered[arena.entry()] = forecast_entry_rate.max(0.0);
-    }
-
-    let mut pending: Vec<usize> = Vec::new();
-    let mut cells: Vec<SizingCell> = Vec::new();
-    let mut solved: Vec<u32> = Vec::new();
-    for stage in 0..arena.stage_count() {
-        if let &[node] = arena.stage(stage) {
-            // Singleton-stage fast path — every stage of a chain-like
-            // graph: band-check, solve and forward inline, no pending
-            // list, nothing to scatter. Identical operations in identical
-            // order to the general path below.
-            let current = targets[node].max(1);
-            let rate = offered[node].max(0.0);
-            let demand = demands[node].max(0.0);
-            let desired = if outside_hold_band(
-                rate * demand,
-                f64::from(current),
-                config.rho_upper,
-                config.rho_lower,
-            ) {
-                cells.clear();
-                cells.push(SizingCell {
-                    arrival_rate: rate,
-                    service_demand: demand,
-                });
-                run_batch(&cells, &mut solved);
-                solved.first().copied().unwrap_or(1)
-            } else {
-                current
-            };
-            targets[node] = desired.clamp(arena.min_instances(node), arena.max_instances(node));
-            let capacity = f64::from(targets[node]) / demands[node];
-            let completed = offered[node].min(capacity);
-            for (to, multiplicity) in arena.calls_from(node) {
-                offered[to] += completed * multiplicity;
-            }
-            continue;
-        }
-        // 1) Hold-band check, mirroring `size_service` exactly; pending
-        //    services collect their sizing queries in stage order.
-        pending.clear();
-        cells.clear();
-        for &node in arena.stage(stage) {
-            let current = targets[node].max(1);
-            let rate = offered[node].max(0.0);
-            let demand = demands[node].max(0.0);
-            if outside_hold_band(
-                rate * demand,
-                f64::from(current),
-                config.rho_upper,
-                config.rho_lower,
-            ) {
-                pending.push(node);
-                cells.push(SizingCell {
-                    arrival_rate: rate,
-                    service_demand: demand,
-                });
-            } else {
-                targets[node] = current.clamp(arena.min_instances(node), arena.max_instances(node));
-            }
-        }
-        if !pending.is_empty() {
-            // 2) Answer the queries (one cell per pending service).
-            run_batch(&cells, &mut solved);
-            // 3) Scatter each answer back by position and clamp.
-            for (idx, &node) in pending.iter().enumerate() {
-                let desired = solved.get(idx).copied().unwrap_or(1);
-                targets[node] = desired.clamp(arena.min_instances(node), arena.max_instances(node));
-            }
-        }
-        // 5) Forward completed rates sequentially in canonical order.
-        for &node in arena.stage(stage) {
-            let capacity = f64::from(targets[node]) / demands[node];
-            let completed = offered[node].min(capacity);
-            for (to, multiplicity) in arena.calls_from(node) {
-                offered[to] += completed * multiplicity;
-            }
-        }
-    }
-
-    if config.backpressure_enabled {
-        // Sequential epilogue: singleton batches in service-index order
-        // issue exactly the lookups the per-service path would.
-        let mut solve_one = |rate: f64, demand: f64, _rho: f64| {
-            run_batch(
-                &[SizingCell {
-                    arrival_rate: rate,
-                    service_demand: demand,
-                }],
-                &mut solved,
-            );
-            solved.first().copied().unwrap_or(1)
-        };
-        apply_backpressure(
-            &mut solve_one,
-            model,
-            forecast_entry_rate,
-            demands,
-            &mut targets,
-            config,
-        );
-    }
-    targets
-}
-
-/// Per-service sizing context captured by
-/// [`proactive_decisions_cached_traced`], for decision provenance: the
-/// local arrival rate each service was sized for and whether its sizing
-/// solve was answered from the capacity cache.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SizingTrace {
-    /// The offered (predecessor-forwarded) arrival rate per service at
-    /// sizing time.
-    pub offered: Vec<f64>,
-    /// Whether the service's sizing solve hit the cache: `Some(true)` for
-    /// a memo hit, `Some(false)` for a solver run, `None` when no solve
-    /// was issued (utilization inside the hold band, or the degenerate
-    /// bypass).
-    pub cache_hit: Vec<Option<bool>>,
-}
-
-/// [`proactive_decisions_cached`] that additionally captures a
-/// [`SizingTrace`]. The targets are identical by construction: the exact
-/// same solve closure runs against the same cache, with only counter
-/// reads interleaved.
-pub fn proactive_decisions_cached_traced(
-    cache: &CapacityCache,
-    model: &ApplicationModel,
-    forecast_entry_rate: f64,
-    estimated_demands: &[f64],
-    current_instances: &[u32],
-    config: &ChamulteonConfig,
-) -> (Vec<u32>, SizingTrace) {
-    let n = model.service_count();
-    // Whether the most recent solve hit the memo, diffed from the shared
-    // counters (this thread's solve is the only one between the reads in
-    // the single-threaded decision pass; under concurrent cache sharing
-    // the flag is best-effort, the target is exact either way).
-    let last_hit: std::cell::Cell<Option<bool>> = std::cell::Cell::new(None);
-    let mut solve = |rate: f64, demand: f64, rho: f64| {
-        let before = cache.stats();
-        let result = cache.min_instances_for_utilization(rate, demand, rho);
-        let after = cache.stats();
-        last_hit.set(if after.hits > before.hits {
-            Some(true)
-        } else if after.misses > before.misses {
-            Some(false)
-        } else {
-            None // degenerate bypass: no lookup was counted
-        });
-        result
-    };
-    let mut trace = SizingTrace {
-        offered: vec![f64::NAN; n],
-        cache_hit: vec![None; n],
-    };
-    let targets = proactive_decisions_with(
-        &mut solve,
+) -> Vec<u32> {
+    walk(
         model,
         forecast_entry_rate,
         estimated_demands,
         current_instances,
         config,
-        &mut |node, offered_rate| {
-            if let Some(slot) = trace.offered.get_mut(node) {
-                *slot = offered_rate;
-            }
-            if let Some(slot) = trace.cache_hit.get_mut(node) {
-                *slot = last_hit.take();
-            }
-        },
-    );
-    (targets, trace)
+        None,
+    )
 }
 
-/// The shared decision pass behind [`proactive_decisions`] and
-/// [`proactive_decisions_cached`]; `observe(node, offered)` fires right
-/// after each service is sized in topological order, with the offered
-/// rate it was sized for (backpressure re-sizing is not re-observed — the
-/// trace reflects the primary coordinated pass).
-#[allow(clippy::too_many_arguments)]
-fn proactive_decisions_with(
-    solve: &mut dyn FnMut(f64, f64, f64) -> u32,
+/// Per-service sizing context of one [`walk`], for decision provenance:
+/// the offered rate each service was sized for and whether its count was
+/// held or re-solved. Indexed by service.
+#[derive(Debug, Default)]
+pub(crate) struct SizingTrace {
+    /// The offered (predecessor-forwarded) arrival rate at sizing time.
+    pub(crate) offered: Vec<f64>,
+    /// The hold-band verdict of each service's sizing step.
+    pub(crate) sizing: Vec<Sizing>,
+}
+
+/// The one implementation of Algorithm 1 behind [`proactive_decisions`]
+/// and the controller's reactive pass.
+///
+/// Walks the invocation graph in the arena's canonical topological order,
+/// sizing each service for the rate its *already-sized* predecessors
+/// forward, then runs the backpressure epilogue. With `trace`, each
+/// service's offered rate and hold-band verdict are recorded
+/// (backpressure re-sizing is not recorded: the trace reflects the
+/// coordinated pass). Tracing costs one branch per service and never
+/// changes a target.
+pub(crate) fn walk(
     model: &ApplicationModel,
     forecast_entry_rate: f64,
     estimated_demands: &[f64],
     current_instances: &[u32],
     config: &ChamulteonConfig,
-    observe: &mut dyn FnMut(usize, f64),
+    mut trace: Option<&mut SizingTrace>,
 ) -> Vec<u32> {
     let arena = model.arena();
     let n = arena.node_count();
@@ -502,17 +180,17 @@ fn proactive_decisions_with(
                 .max(1)
         })
         .collect();
+    if let Some(trace) = trace.as_deref_mut() {
+        trace.sizing.clear();
+        trace.sizing.resize(n, Sizing::Held);
+    }
 
-    // Walk the invocation graph in the arena's precomputed canonical
-    // topological order, sizing each service for the rate its
-    // *already-sized* predecessors forward.
     let mut offered = vec![0.0; n];
     if n > 0 {
         offered[arena.entry()] = forecast_entry_rate.max(0.0);
     }
     for &node in arena.topo_order() {
-        targets[node] = size_service_with(
-            solve,
+        let (target, sizing) = sized(
             offered[node],
             demands[node],
             targets[node],
@@ -520,24 +198,25 @@ fn proactive_decisions_with(
             arena.max_instances(node),
             config,
         );
-        observe(node, offered[node]);
+        targets[node] = target;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.sizing[node] = sizing;
+        }
         // Forward at most what the newly sized deployment can complete.
-        let capacity = f64::from(targets[node]) / demands[node];
+        let capacity = f64::from(target) / demands[node];
         let completed = offered[node].min(capacity);
         for (to, multiplicity) in arena.calls_from(node) {
             offered[to] += completed * multiplicity;
         }
     }
+    // A service's offered rate is final once it is sized: only its
+    // successors' rates change afterwards.
+    if let Some(trace) = trace {
+        trace.offered = offered;
+    }
 
     if config.backpressure_enabled {
-        apply_backpressure(
-            solve,
-            model,
-            forecast_entry_rate,
-            &demands,
-            &mut targets,
-            config,
-        );
+        apply_backpressure(model, forecast_entry_rate, &demands, &mut targets, config);
     }
     targets
 }
@@ -551,7 +230,6 @@ fn proactive_decisions_with(
 ///
 /// A no-op when no service is capped below its offered load.
 fn apply_backpressure(
-    solve: &mut dyn FnMut(f64, f64, f64) -> u32,
     model: &ApplicationModel,
     entry_rate: f64,
     demands: &[f64],
@@ -584,8 +262,7 @@ fn apply_backpressure(
     // stays at max).
     for i in 0..arena.node_count() {
         let local = achievable * ratios[i];
-        let resized = size_service_with(
-            solve,
+        let resized = size_service(
             local,
             demands[i],
             targets[i],
@@ -766,104 +443,54 @@ mod tests {
     }
 
     #[test]
-    fn cached_decisions_match_exact_decisions() {
+    fn traced_walk_matches_untraced_and_captures_offered_rates() {
         let model = ApplicationModel::paper_benchmark();
-        let cache = chamulteon_queueing::CapacityCache::new();
+        let mut trace = SizingTrace::default();
         for &rate in &[0.0, 1.0, 33.9, 100.0, 123.456, 999.0] {
-            let exact =
+            let plain =
                 proactive_decisions(&model, rate, &[0.059, 0.1, 0.04], &[1, 1, 1], &config());
-            let cached = proactive_decisions_cached(
-                &cache,
+            let traced = walk(
                 &model,
                 rate,
                 &[0.059, 0.1, 0.04],
                 &[1, 1, 1],
                 &config(),
-            );
-            assert_eq!(exact, cached, "rate {rate}");
-        }
-        // The batched pass answers by corner evaluation: no memo traffic
-        // at all, so repeating the sweep still issues zero lookups.
-        assert_eq!(cache.stats(), chamulteon_queueing::CacheStats::default());
-        for &rate in &[0.0, 1.0, 33.9, 100.0, 123.456, 999.0] {
-            let _ = proactive_decisions_cached(
-                &cache,
-                &model,
-                rate,
-                &[0.059, 0.1, 0.04],
-                &[1, 1, 1],
-                &config(),
-            );
-        }
-        assert_eq!(cache.stats().misses, 0);
-    }
-
-    #[test]
-    fn traced_decisions_match_untraced_and_capture_context() {
-        let model = ApplicationModel::paper_benchmark();
-        let cache = chamulteon_queueing::CapacityCache::new();
-        let shadow = chamulteon_queueing::CapacityCache::new();
-        for &rate in &[0.0, 1.0, 33.9, 100.0, 123.456, 999.0] {
-            let plain = proactive_decisions_cached(
-                &cache,
-                &model,
-                rate,
-                &[0.059, 0.1, 0.04],
-                &[1, 1, 1],
-                &config(),
-            );
-            let (traced, trace) = proactive_decisions_cached_traced(
-                &shadow,
-                &model,
-                rate,
-                &[0.059, 0.1, 0.04],
-                &[1, 1, 1],
-                &config(),
+                Some(&mut trace),
             );
             assert_eq!(plain, traced, "rate {rate}");
             assert_eq!(trace.offered.len(), 3);
-            assert_eq!(trace.cache_hit.len(), 3);
+            assert_eq!(trace.sizing.len(), 3);
             // The entry's offered rate is the forecast rate itself.
             assert_eq!(trace.offered[model.entry()], rate.max(0.0));
         }
-        // The plain batched path answers by corner evaluation and issues
-        // no memo lookups; the traced path deliberately routes through the
-        // memoized single-query entry so its per-service hit/miss
-        // provenance stays meaningful.
-        assert_eq!(cache.stats(), chamulteon_queueing::CacheStats::default());
-        assert!(shadow.stats().misses > 0);
+    }
 
-        // First solve of a fresh cache is a miss; repeating it is a hit.
-        let fresh = chamulteon_queueing::CapacityCache::new();
-        let (_, first) = proactive_decisions_cached_traced(
-            &fresh,
-            &model,
-            100.0,
-            &[0.059, 0.1, 0.04],
-            &[1, 1, 1],
-            &config(),
-        );
-        assert_eq!(first.cache_hit, vec![Some(false); 3]);
-        let (_, second) = proactive_decisions_cached_traced(
-            &fresh,
-            &model,
-            100.0,
-            &[0.059, 0.1, 0.04],
-            &[1, 1, 1],
-            &config(),
-        );
-        assert_eq!(second.cache_hit, vec![Some(true); 3]);
-        // A zero-rate degenerate sizing bypasses the cache: solve runs
-        // (rho 0 under the band) but no lookup is counted.
-        let (_, idle) = proactive_decisions_cached_traced(
-            &fresh,
-            &model,
-            0.0,
-            &[0.059, 0.1, 0.04],
-            &[50, 80, 30],
-            &config(),
-        );
-        assert_eq!(idle.cache_hit, vec![None; 3]);
+    #[test]
+    fn trace_marks_solved_exactly_outside_hold_band() {
+        let model = ApplicationModel::paper_benchmark();
+        let demands = [0.059, 0.1, 0.04];
+        let current = [10, 17, 7];
+        let cfg = config();
+        // 100 req/s leaves every tier inside [0.45, 0.75); 200 req/s
+        // pushes every tier above ρ_upper.
+        for (rate, expected) in [(100.0, Sizing::Held), (200.0, Sizing::Solved)] {
+            let mut trace = SizingTrace::default();
+            let targets = walk(&model, rate, &demands, &current, &cfg, Some(&mut trace));
+            for service in 0..3 {
+                let rho = trace.offered[service] * demands[service] / f64::from(current[service]);
+                let outside = rho >= cfg.rho_upper || rho < cfg.rho_lower;
+                let verdict = if outside {
+                    Sizing::Solved
+                } else {
+                    Sizing::Held
+                };
+                assert_eq!(trace.sizing[service], verdict, "rate {rate} s{service}");
+                assert_eq!(verdict, expected, "rate {rate} s{service} (ρ {rho})");
+            }
+            if expected == Sizing::Held {
+                assert_eq!(targets, current.to_vec());
+            }
+        }
     }
 
     #[test]

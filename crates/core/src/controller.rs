@@ -1,8 +1,6 @@
 //! The Chamulteon controller: both cycles, wired together.
 
-use crate::algorithm::{
-    proactive_decisions_cached, proactive_decisions_cached_traced, SizingTrace,
-};
+use crate::algorithm::{proactive_decisions, walk, SizingTrace};
 use crate::config::ChamulteonConfig;
 use crate::decision::{DecisionOrigin, DecisionStore, ScalingDecision};
 use crate::degradation::{DegradationLog, DegradationReason, Observation, SpikeGate};
@@ -12,9 +10,8 @@ use crate::snapshot::{
 };
 use chamulteon_demand::{MonitoringSample, RollingDemandEstimator};
 use chamulteon_forecast::{DriftDetector, Forecaster, TelescopeForecaster, TimeSeries};
-use chamulteon_obs::{Event, EventKind, Obs, PhaseTimer, Provenance, Winner};
+use chamulteon_obs::{Event, EventKind, Obs, PhaseTimer, Provenance, Sizing, Winner};
 use chamulteon_perfmodel::ApplicationModel;
-use chamulteon_queueing::{CacheStats, CapacityCache};
 
 /// The forecast currently driving the proactive cycle.
 #[derive(Debug, Clone)]
@@ -40,9 +37,6 @@ struct ActiveForecast {
 pub struct Chamulteon {
     model: ApplicationModel,
     config: ChamulteonConfig,
-    /// Memoizes the Algorithm-1 utilization inversions; cloning a
-    /// controller (checkpointing) carries the warm cache along.
-    capacity_cache: CapacityCache,
     demand_estimators: Vec<RollingDemandEstimator>,
     entry_history: Option<TimeSeries>,
     forecaster: TelescopeForecaster,
@@ -81,7 +75,6 @@ impl Chamulteon {
             .collect();
         Chamulteon {
             drift: DriftDetector::new(config.drift_threshold),
-            capacity_cache: CapacityCache::new(),
             demand_estimators,
             entry_history: None,
             forecaster: TelescopeForecaster::default(),
@@ -149,13 +142,6 @@ impl Chamulteon {
     /// this far smaller than the tick count).
     pub fn forecasts_made(&self) -> u64 {
         self.forecasts_made
-    }
-
-    /// Hit/miss counters of the capacity memo cache serving Algorithm 1's
-    /// sizing queries (each proactive round issues `horizon × services`
-    /// inversions, so steady load makes this overwhelmingly hits).
-    pub fn capacity_cache_stats(&self) -> CacheStats {
-        self.capacity_cache.stats()
     }
 
     /// Total billed instance seconds, when FOX is attached.
@@ -248,8 +234,7 @@ impl Chamulteon {
     /// `model` and `config` must be the ones the crashed controller ran
     /// with — they are deliberately *not* part of the snapshot, so a
     /// deployment can keep them in configuration management rather than
-    /// in every checkpoint. The capacity cache starts cold (latency, not
-    /// decisions) and the obs bundle starts disabled
+    /// in every checkpoint. The obs bundle starts disabled
     /// ([`set_obs`](Chamulteon::set_obs) re-attaches a sink).
     ///
     /// # Errors
@@ -558,7 +543,7 @@ impl Chamulteon {
                             forecast_generation: forecast_now.map(|(_, generation, _)| generation),
                             forecast_trusted: forecast_now.map(|(_, _, trusted)| trusted),
                             winner: Winner::Hold,
-                            cache_hit: None,
+                            sizing: None,
                             fox_suppressed: None,
                             proposed: target,
                             target,
@@ -653,58 +638,50 @@ impl Chamulteon {
         }
         timer.lap(self.obs.metrics(), "cycle.proactive_us");
 
-        // 4. Reactive cycle. The traced sizing pass issues the exact same
-        // cache lookups as the untraced one — tracing never changes a
-        // target (pinned by the bit-identity tests).
-        let mut reactive_trace: Option<SizingTrace> = None;
+        // 4. Reactive cycle. Traced and untraced runs execute the same
+        // walk; tracing only records each service's offered rate and
+        // hold-band verdict (pinned by the bit-identity tests).
+        let mut reactive_trace =
+            (tracing && self.config.reactive_enabled).then(SizingTrace::default);
         let reactive: Vec<Option<ScalingDecision>> = if self.config.reactive_enabled {
-            let targets = if tracing {
-                let (targets, trace) = proactive_decisions_cached_traced(
-                    &self.capacity_cache,
-                    &self.model,
-                    entry_rate,
-                    &demands,
-                    &instances,
-                    &self.config,
-                );
-                reactive_trace = Some(trace);
-                targets
-            } else {
-                proactive_decisions_cached(
-                    &self.capacity_cache,
-                    &self.model,
-                    entry_rate,
-                    &demands,
-                    &instances,
-                    &self.config,
-                )
-            };
-            targets
-                .iter()
-                .enumerate()
-                .map(|(service, &target)| {
-                    Some(ScalingDecision {
-                        service,
-                        target,
-                        start: time,
-                        end: time + interval,
-                        origin: DecisionOrigin::Reactive,
-                    })
+            walk(
+                &self.model,
+                entry_rate,
+                &demands,
+                &instances,
+                &self.config,
+                reactive_trace.as_mut(),
+            )
+            .iter()
+            .enumerate()
+            .map(|(service, &target)| {
+                Some(ScalingDecision {
+                    service,
+                    target,
+                    start: time,
+                    end: time + interval,
+                    origin: DecisionOrigin::Reactive,
                 })
-                .collect()
+            })
+            .collect()
         } else {
             vec![None; self.model.service_count()]
         };
         timer.lap(self.obs.metrics(), "cycle.reactive_us");
 
-        if tracing {
-            let stats = self.capacity_cache.stats();
+        if let Some(trace) = &reactive_trace {
+            let solved = trace
+                .sizing
+                .iter()
+                .filter(|&&s| s == Sizing::Solved)
+                .count();
+            let held = trace.sizing.len() - solved;
             self.obs.record_with(|| {
                 Event::cycle(
                     time,
                     EventKind::CapacitySolve {
-                        hits: stats.hits,
-                        misses: stats.misses,
+                        solved: u64::try_from(solved).unwrap_or(u64::MAX),
+                        held: u64::try_from(held).unwrap_or(u64::MAX),
                     },
                 )
             });
@@ -790,12 +767,12 @@ impl Chamulteon {
                 self.obs.metrics().increment("fox.suppressed");
             }
             if tracing {
-                let (offered_rate, cache_hit) = reactive_trace
+                let (offered_rate, sizing) = reactive_trace
                     .as_ref()
                     .map(|trace| {
                         (
                             trace.offered.get(service).copied(),
-                            trace.cache_hit.get(service).copied().flatten(),
+                            trace.sizing.get(service).copied(),
                         )
                     })
                     .unwrap_or((None, None));
@@ -815,7 +792,7 @@ impl Chamulteon {
                             forecast_trusted: origin_trusted
                                 .or(forecast_now.map(|(_, _, trusted)| trusted)),
                             winner,
-                            cache_hit,
+                            sizing,
                             fox_suppressed,
                             proposed: chosen,
                             target,
@@ -826,9 +803,6 @@ impl Chamulteon {
             targets.push(target);
         }
         timer.lap(self.obs.metrics(), "cycle.resolve_us");
-        if self.obs.metrics().enabled() {
-            self.capacity_cache.export_metrics(self.obs.metrics());
-        }
         targets
     }
 
@@ -909,14 +883,7 @@ impl Chamulteon {
         let mut current = instances.to_vec();
         let mut decisions = Vec::with_capacity(horizon * self.model.service_count());
         for (h, &rate) in forecast.values().iter().enumerate() {
-            let targets = proactive_decisions_cached(
-                &self.capacity_cache,
-                &self.model,
-                rate,
-                demands,
-                &current,
-                &self.config,
-            );
+            let targets = proactive_decisions(&self.model, rate, demands, &current, &self.config);
             let offset = f64::from(u32::try_from(h).unwrap_or(u32::MAX));
             let start = time + offset * interval;
             let end = start + interval;
@@ -1412,13 +1379,22 @@ mod tests {
             assert!(provenance.demand.is_finite());
             assert!(provenance.target >= 1);
         }
-        // The reactive sizing pass records offered rates and cache verdicts.
+        // The reactive sizing pass records offered rates and a hold-band
+        // verdict for every service, and counts the verdicts per cycle.
         assert!(
             decisions
                 .iter()
-                .any(|(_, p)| p.offered_rate.is_some() && p.cache_hit.is_some()),
-            "no decision captured reactive sizing context"
+                .all(|(_, p)| p.offered_rate.is_some() && p.sizing.is_some()),
+            "a decision lacks reactive sizing context"
         );
+        let verdict_counts: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::CapacitySolve { solved, held } => Some(solved + held),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(verdict_counts, vec![3; ticks]);
         // Forecast events carry the active generation into provenance.
         assert!(
             events
@@ -1440,7 +1416,6 @@ mod tests {
             + metrics.counter_value("decisions.hold").unwrap_or(0);
         assert_eq!(total, (ticks * 3) as u64);
         assert!(metrics.counter_value("forecasts.made").unwrap_or(0) >= 1);
-        assert!(metrics.gauge_value("capacity_cache.entries").is_some());
     }
 
     #[test]

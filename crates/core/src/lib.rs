@@ -20,11 +20,15 @@
 //! the **reactive cycle** sizes every service from *measured* arrival
 //! rates each short interval, and the **proactive cycle** sizes them from
 //! *forecast* rates for a window of future intervals (Algorithm 1,
-//! [`algorithm::proactive_decisions`]). Both propagate the entry rate
-//! through the invocation graph so downstream services scale *with* their
-//! predecessors instead of after them — removing bottleneck shifting and
-//! oscillations. Conflicts between the cycles are resolved by decision
-//! scope and forecast recency ([`decision::DecisionStore`], §III-C).
+//! [`algorithm::proactive_decisions`]). Both run the same walk over the
+//! invocation graph, sizing each service per [`algorithm::size_service`]
+//! in topological order and propagating the entry rate so downstream
+//! services scale *with* their predecessors instead of after them —
+//! removing bottleneck shifting and oscillations. A traced controller runs
+//! that same walk and only records each service's offered rate and
+//! held/solved verdict. Conflicts between the cycles are resolved by
+//! decision scope and forecast recency ([`decision::DecisionStore`],
+//! §III-C).
 //!
 //! # Example
 //!
@@ -71,9 +75,7 @@ pub mod snapshot;
 /// Hybrid vertical + horizontal scaling (the paper's first future-work item).
 pub mod vertical;
 
-pub use algorithm::{
-    proactive_decisions, proactive_decisions_cached, proactive_decisions_staged, SizingCell,
-};
+pub use algorithm::proactive_decisions;
 pub use cluster::{
     ArbitrationPolicy, ClusterArbiter, ClusterEvent, ClusterSnapshotError, TenantId, TenantLease,
     TenantProposal, TenantVerdict, WarmLease, CLUSTER_SNAPSHOT_VERSION,

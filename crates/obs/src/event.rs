@@ -50,6 +50,41 @@ impl std::fmt::Display for Winner {
     }
 }
 
+/// The reactive pass's verdict on one service: whether Algorithm 1 kept
+/// its instance count or re-solved it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sizing {
+    /// Utilization sat inside the hold band; the count was kept.
+    Held,
+    /// Utilization left the hold band; the count was re-solved.
+    Solved,
+}
+
+impl Sizing {
+    /// Stable snake_case code used in the JSONL schema.
+    pub fn as_code(&self) -> &'static str {
+        match self {
+            Sizing::Held => "held",
+            Sizing::Solved => "solved",
+        }
+    }
+
+    /// Parses a [`Sizing::as_code`] code.
+    pub fn parse(code: &str) -> Option<Sizing> {
+        Some(match code {
+            "held" => Sizing::Held,
+            "solved" => Sizing::Solved,
+            _ => return None,
+        })
+    }
+}
+
+impl std::fmt::Display for Sizing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_code())
+    }
+}
+
 /// What happened to one scaling command issued to the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActuationOutcome {
@@ -150,9 +185,9 @@ pub struct Provenance {
     pub forecast_trusted: Option<bool>,
     /// Which cycle won conflict resolution for this service.
     pub winner: Winner,
-    /// Whether the reactive sizing solve was answered from the capacity
-    /// cache (`None`: no solve was issued — in-band hold or no sizing).
-    pub cache_hit: Option<bool>,
+    /// The reactive pass's verdict for this service (`None`: the reactive
+    /// pass did not run this cycle).
+    pub sizing: Option<Sizing>,
     /// Whether FOX raised the target to keep paid instances (`None` when
     /// no FOX reviewer is attached).
     pub fox_suppressed: Option<bool>,
@@ -193,12 +228,13 @@ pub enum EventKind {
         /// Whether the estimate was refreshed from a fresh sample.
         fresh: bool,
     },
-    /// Cumulative capacity-cache counters after this cycle's sizing.
+    /// This cycle's reactive sizing verdicts, counted over services.
     CapacitySolve {
-        /// Lookups answered from the memo so far.
-        hits: u64,
-        /// Lookups that ran the solver so far.
-        misses: u64,
+        /// Services whose utilization left the hold band and were
+        /// re-solved.
+        solved: u64,
+        /// Services kept at their current count inside the hold band.
+        held: u64,
     },
     /// Conflict resolution between the stored proactive decision and the
     /// reactive candidate for one service.
@@ -403,7 +439,7 @@ mod tests {
                 demand: 0.1,
                 fresh: true,
             },
-            EventKind::CapacitySolve { hits: 0, misses: 0 },
+            EventKind::CapacitySolve { solved: 0, held: 0 },
             EventKind::ConflictResolution {
                 proactive: None,
                 proactive_trusted: None,
@@ -438,7 +474,7 @@ mod tests {
                 forecast_generation: None,
                 forecast_trusted: None,
                 winner: Winner::Reactive,
-                cache_hit: Some(true),
+                sizing: Some(Sizing::Solved),
                 fox_suppressed: None,
                 proposed: 3,
                 target: 3,
@@ -494,8 +530,13 @@ mod tests {
             assert_eq!(WarmAction::parse(a.as_code()), Some(a));
             assert_eq!(a.to_string(), a.as_code());
         }
+        for z in [Sizing::Held, Sizing::Solved] {
+            assert_eq!(Sizing::parse(z.as_code()), Some(z));
+            assert_eq!(z.to_string(), z.as_code());
+        }
         assert_eq!(Winner::parse("nope"), None);
         assert_eq!(ActuationOutcome::parse("nope"), None);
         assert_eq!(WarmAction::parse("nope"), None);
+        assert_eq!(Sizing::parse("nope"), None);
     }
 }

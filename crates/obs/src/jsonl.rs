@@ -12,7 +12,7 @@
 //! (string, number, `true`/`false`/`null` values — no nesting), with
 //! arbitrary whitespace between tokens.
 
-use crate::event::{ActuationOutcome, Event, EventKind, Provenance, WarmAction, Winner};
+use crate::event::{ActuationOutcome, Event, EventKind, Provenance, Sizing, WarmAction, Winner};
 use std::fmt::Write as _;
 
 /// A parse failure, locating the offending line (1-based).
@@ -164,9 +164,9 @@ pub fn emit_line(event: &Event) -> String {
             w.f64("demand", *demand);
             w.bool("fresh", *fresh);
         }
-        EventKind::CapacitySolve { hits, misses } => {
-            w.u64("hits", *hits);
-            w.u64("misses", *misses);
+        EventKind::CapacitySolve { solved, held } => {
+            w.u64("solved", *solved);
+            w.u64("held", *held);
         }
         EventKind::ConflictResolution {
             proactive,
@@ -217,7 +217,9 @@ pub fn emit_line(event: &Event) -> String {
             w.opt_u64("forecast_generation", p.forecast_generation);
             w.opt_bool("forecast_trusted", p.forecast_trusted);
             w.str("winner", p.winner.as_code());
-            w.opt_bool("cache_hit", p.cache_hit);
+            if let Some(sizing) = p.sizing {
+                w.str("sizing", sizing.as_code());
+            }
             w.opt_bool("fox_suppressed", p.fox_suppressed);
             w.u32("proposed", p.proposed);
             w.u32("target", p.target);
@@ -555,8 +557,8 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<Event, JsonlError> {
             fresh: fields.req_bool("fresh")?,
         },
         "capacity_solve" => EventKind::CapacitySolve {
-            hits: fields.req_u64("hits")?,
-            misses: fields.req_u64("misses")?,
+            solved: fields.req_u64("solved")?,
+            held: fields.req_u64("held")?,
         },
         "conflict_resolution" => EventKind::ConflictResolution {
             proactive: fields.opt_u32("proactive")?,
@@ -596,7 +598,7 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<Event, JsonlError> {
             forecast_generation: fields.opt_u64("forecast_generation")?,
             forecast_trusted: fields.opt_bool("forecast_trusted")?,
             winner: parse_winner(&fields)?,
-            cache_hit: fields.opt_bool("cache_hit")?,
+            sizing: parse_sizing(&fields)?,
             fox_suppressed: fields.opt_bool("fox_suppressed")?,
             proposed: fields.req_u32("proposed")?,
             target: fields.req_u32("target")?,
@@ -645,6 +647,16 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<Event, JsonlError> {
 fn parse_winner(fields: &Fields) -> Result<Winner, JsonlError> {
     let code = fields.req_str("winner")?;
     Winner::parse(code).ok_or_else(|| fields.err(format!("unknown winner `{code}`")))
+}
+
+fn parse_sizing(fields: &Fields) -> Result<Option<Sizing>, JsonlError> {
+    if fields.get("sizing").is_none() {
+        return Ok(None);
+    }
+    let code = fields.req_str("sizing")?;
+    Sizing::parse(code)
+        .map(Some)
+        .ok_or_else(|| fields.err(format!("unknown sizing `{code}`")))
 }
 
 /// Parses JSONL text (as produced by [`emit`]) back into events. Blank
@@ -837,6 +849,48 @@ mod tests {
             "expiry has no acting tenant: {expire_line}"
         );
         assert!(expire_line.contains("\"paid_until\":4200"), "{expire_line}");
+    }
+
+    #[test]
+    fn sizing_verdicts_have_pinned_lines() {
+        let solve = Event::cycle(60.0, EventKind::CapacitySolve { solved: 2, held: 1 });
+        let decision = Event::service(
+            60.0,
+            2,
+            EventKind::Decision(Provenance {
+                tick: 1,
+                measured_rate: 100.0,
+                offered_rate: Some(100.0),
+                demand: 0.04,
+                forecast_rate: None,
+                forecast_generation: None,
+                forecast_trusted: None,
+                winner: Winner::Reactive,
+                sizing: Some(Sizing::Solved),
+                fox_suppressed: None,
+                proposed: 7,
+                target: 7,
+            }),
+        );
+        assert_eq!(
+            emit_line(&solve),
+            "{\"time\":60,\"kind\":\"capacity_solve\",\"solved\":2,\"held\":1}"
+        );
+        assert_eq!(
+            emit_line(&decision),
+            "{\"time\":60,\"kind\":\"decision\",\"service\":2,\"tick\":1,\
+             \"measured_rate\":100,\"offered_rate\":100,\"demand\":0.04,\
+             \"winner\":\"reactive\",\"sizing\":\"solved\",\"proposed\":7,\"target\":7}"
+        );
+        for e in [&solve, &decision] {
+            assert_eq!(parse_line(&emit_line(e), 1).as_ref(), Ok(e));
+        }
+        assert!(parse_line(
+            "{\"time\":1,\"kind\":\"decision\",\"tick\":1,\"measured_rate\":1,\
+             \"demand\":0.1,\"winner\":\"hold\",\"sizing\":\"hit\",\"proposed\":1,\"target\":1}",
+            1
+        )
+        .is_err());
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod recorder;
 
 pub use event::{
-    ActuationOutcome, Event, EventKind, Provenance, WarmAction, Winner, EVENT_KIND_CODES,
+    ActuationOutcome, Event, EventKind, Provenance, Sizing, WarmAction, Winner, EVENT_KIND_CODES,
 };
 pub use jsonl::JsonlError;
 pub use metrics::{Counter, Histogram, MetricsRegistry, PhaseTimer, DISABLED_METRICS};

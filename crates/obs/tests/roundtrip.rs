@@ -6,7 +6,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use chamulteon_obs::{
-    jsonl, ActuationOutcome, Event, EventKind, Provenance, WarmAction, Winner, EVENT_KIND_CODES,
+    jsonl, ActuationOutcome, Event, EventKind, Provenance, Sizing, WarmAction, Winner,
+    EVENT_KIND_CODES,
 };
 use proptest::prelude::*;
 
@@ -53,8 +54,8 @@ fn build_event(
             fresh: flag,
         },
         3 => EventKind::CapacitySolve {
-            hits: n,
-            misses: n / 3,
+            solved: n / 3,
+            held: n,
         },
         4 => EventKind::ConflictResolution {
             proactive: opt_u32(0, target),
@@ -94,7 +95,8 @@ fn build_event(
             forecast_generation: opt_u64(2, n % 1000),
             forecast_trusted: opt_bool(3, flag),
             winner,
-            cache_hit: opt_bool(4, flag),
+            sizing: opt_bool(4, flag)
+                .map(|solved| if solved { Sizing::Solved } else { Sizing::Held }),
             fox_suppressed: opt_bool(5, !flag),
             proposed: target,
             target: target.saturating_add(u32::from(flag)),

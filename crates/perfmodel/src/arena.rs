@@ -11,10 +11,7 @@
 //!   insertion order, so every float fold visits edges in exactly the
 //!   order the nested-`Vec` graph would,
 //! * **visit ratios cached** (the per-node demand-multiplier prefix),
-//! * per-service bounds and demands in flat arrays for cache locality,
-//! * a **stage partition** of the canonical order into maximal prefixes of
-//!   mutually independent services, which is what lets Algorithm 1 size a
-//!   whole stage in parallel and still merge deterministically.
+//! * per-service bounds and demands in flat arrays for cache locality.
 //!
 //! Everything here is a pure re-indexing of the validated model: compiling
 //! never changes a result bit, only where the bytes live.
@@ -40,11 +37,6 @@ pub struct ModelArena {
     edge_targets: Vec<usize>,
     /// Call multiplicities parallel to `edge_targets`.
     edge_multiplicities: Vec<f64>,
-    /// Stage boundaries into `topo`: stage `s` is
-    /// `topo[stage_offsets[s]..stage_offsets[s + 1]]`. Stages are maximal
-    /// prefixes of the canonical order in which no service calls another
-    /// service of the same stage.
-    stage_offsets: Vec<usize>,
     /// Cached visit ratios from the entry (capacity-ignoring call counts
     /// per external request).
     visit_ratios: Vec<f64>,
@@ -84,32 +76,6 @@ impl ModelArena {
             edge_offsets.push(edge_targets.len());
         }
 
-        // Stage partition: walk the canonical order, closing the current
-        // stage as soon as a service depends on a member of that stage.
-        // `stage_of[p]` is the stage index assigned to predecessor `p`
-        // (every predecessor precedes its successor in topological order,
-        // so it is always assigned by the time we look).
-        let mut stage_of = vec![0usize; n];
-        let mut pred_lists: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for from in 0..n {
-            for &(to, _) in graph.calls_from(from) {
-                pred_lists[to].push(from);
-            }
-        }
-        let mut stage_offsets = vec![0usize];
-        let mut current_stage = 0usize;
-        for (position, &node) in topo.iter().enumerate() {
-            let conflicts = pred_lists[node]
-                .iter()
-                .any(|&p| stage_of[p] == current_stage);
-            if conflicts {
-                stage_offsets.push(position);
-                current_stage += 1;
-            }
-            stage_of[node] = current_stage;
-        }
-        stage_offsets.push(n);
-
         // Visit ratios along the canonical order — same fold, same order,
         // same bits as `InvocationGraph::visit_ratios`.
         let mut visit_ratios = vec![0.0; n];
@@ -139,7 +105,6 @@ impl ModelArena {
             edge_offsets,
             edge_targets,
             edge_multiplicities,
-            stage_offsets,
             visit_ratios,
             nominal_demands,
             min_instances,
@@ -170,25 +135,6 @@ impl ModelArena {
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.edge_targets.len()
-    }
-
-    /// Number of stages in the independent-prefix partition.
-    #[inline]
-    pub fn stage_count(&self) -> usize {
-        self.stage_offsets.len().saturating_sub(1)
-    }
-
-    /// The service indices of stage `stage` (a slice of the canonical
-    /// order). Empty for an out-of-range stage.
-    #[inline]
-    pub fn stage(&self, stage: usize) -> &[usize] {
-        match (
-            self.stage_offsets.get(stage),
-            self.stage_offsets.get(stage + 1),
-        ) {
-            (Some(&lo), Some(&hi)) => &self.topo[lo..hi],
-            _ => &[],
-        }
     }
 
     /// The outgoing calls of `node` as `(callee, multiplicity)` pairs, in
@@ -319,37 +265,6 @@ mod tests {
             assert_eq!(flat.as_slice(), model.graph().calls_from(node));
         }
         assert_eq!(arena.edge_count(), 2);
-    }
-
-    #[test]
-    fn chain_stages_are_singletons() {
-        let (_, arena) = paper_arena();
-        assert_eq!(arena.stage_count(), 3);
-        assert_eq!(arena.stage(0), &[0]);
-        assert_eq!(arena.stage(1), &[1]);
-        assert_eq!(arena.stage(2), &[2]);
-        assert!(arena.stage(3).is_empty());
-    }
-
-    #[test]
-    fn diamond_stages_group_independent_services() {
-        let graph =
-            InvocationGraph::from_edges(4, [(0, 1, 1.0), (0, 2, 0.5), (1, 3, 1.0), (2, 3, 1.0)])
-                .expect("diamond is acyclic");
-        let services: Vec<_> = (0..4)
-            .map(|i| crate::ServiceSpec::new(format!("s{i}"), 0.1, 1, 10, 1).expect("valid"))
-            .collect();
-        let arena = ModelArena::compile(&services, &graph, 0).expect("compiles");
-        assert_eq!(arena.stage_count(), 3);
-        assert_eq!(arena.stage(0), &[0]);
-        // The two branch services are independent → one shared stage.
-        assert_eq!(arena.stage(1), &[1, 2]);
-        assert_eq!(arena.stage(2), &[3]);
-        // Stages concatenate back to the canonical order.
-        let concat: Vec<usize> = (0..arena.stage_count())
-            .flat_map(|s| arena.stage(s).iter().copied())
-            .collect();
-        assert_eq!(concat.as_slice(), arena.topo_order());
     }
 
     #[test]

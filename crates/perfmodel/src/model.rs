@@ -12,9 +12,9 @@ use crate::service::ServiceSpec;
 /// or deserialize from JSON via [`ApplicationModel::from_json`].
 ///
 /// Validation compiles the model into a [`ModelArena`] — precomputed
-/// canonical topological order, CSR edge arrays, cached visit ratios and a
-/// stage partition — so every hot-path walk (propagation, sizing,
-/// backpressure) is allocation-free and never re-sorts the graph.
+/// canonical topological order, CSR edge arrays and cached visit ratios —
+/// so every hot-path walk (propagation, sizing, backpressure) is
+/// allocation-free and never re-sorts the graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationModel {
     services: Vec<ServiceSpec>,
@@ -123,7 +123,7 @@ impl ApplicationModel {
     }
 
     /// The compiled arena form of this model (precomputed topological
-    /// order, CSR edges, cached visit ratios, stage partition).
+    /// order, CSR edges, cached visit ratios).
     pub fn arena(&self) -> &ModelArena {
         &self.arena
     }

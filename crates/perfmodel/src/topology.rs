@@ -1,9 +1,9 @@
-//! Synthetic topology generators for graph-scale evaluation.
+//! Synthetic topology generators for large-graph evaluation.
 //!
 //! The paper evaluates Chamulteon on a 3-tier chain; production
 //! applications are DAGs of hundreds to thousands of services. These
-//! generators produce the four structural families the graph-scale
-//! benchmark and the conformance oracle sweep:
+//! generators produce the four structural families the 1000-service
+//! benchmark workload and the conformance oracle sweep:
 //!
 //! * **chain** — the paper's shape stretched to `n` tiers,
 //! * **fan** — a shallow root fanning out to independent leaves,

@@ -1,9 +1,8 @@
 //! Property tests pinning the arena-compiled hot path to an independent
 //! reimplementation written directly against the public graph API.
 //!
-//! The arena (cached topological order, CSR edge arrays, stage partition)
-//! exists purely as a faster *representation* — it must never change what
-//! is computed. These properties sweep all four synthetic topology
+//! The arena (cached topological order, CSR edge arrays) exists purely as
+//! a faster *representation* — it must never change what is computed. These properties sweep all four synthetic topology
 //! families plus hand-rolled edge lists with degenerate multiplicities
 //! (duplicate edges that accumulate, near-denormal weights) and assert
 //! bit-identical agreement with a deliberately naive reference that shares
@@ -122,40 +121,6 @@ proptest! {
         let fam = TopologyFamily::ALL[fam_index];
         let model = topology::model(fam, n, seed).expect("generated model is valid");
         prop_assert_eq!(model.visit_ratios(), model.graph().visit_ratios(model.entry()));
-    }
-
-    /// The stage partition is a partition: stages concatenate to exactly
-    /// the canonical topological order, and no stage contains an edge
-    /// between two of its own members (the property that makes batched
-    /// stage-at-a-time sizing equivalent to the sequential walk).
-    #[test]
-    fn stages_concatenate_to_canonical_order(
-        fam_index in 0usize..4,
-        n in 1usize..60,
-        seed in 0u64..1_000,
-    ) {
-        let fam = TopologyFamily::ALL[fam_index];
-        let model = topology::model(fam, n, seed).expect("generated model is valid");
-        let arena = model.arena();
-        let flattened: Vec<usize> = (0..arena.stage_count())
-            .flat_map(|s| arena.stage(s).iter().copied())
-            .collect();
-        prop_assert_eq!(flattened.as_slice(), arena.topo_order());
-        prop_assert_eq!(
-            Some(arena.topo_order().to_vec()),
-            model.graph().topological_order()
-        );
-        for s in 0..arena.stage_count() {
-            let members = arena.stage(s);
-            for &node in members {
-                for (to, _) in arena.calls_from(node) {
-                    prop_assert!(
-                        !members.contains(&to),
-                        "stage {} has internal edge {}->{}", s, node, to
-                    );
-                }
-            }
-        }
     }
 
     /// Degenerate multiplicities: duplicate edges accumulate, and

@@ -1,12 +1,13 @@
 //! Quantized-key memoization for the capacity solvers.
 //!
 //! The evaluation pipeline asks the same capacity questions over and over:
-//! every scaler scored against a trace re-derives the same demand curve,
-//! and Algorithm 1 re-sizes every service each cycle from rates that
-//! repeat across intervals and forecast horizons. [`CapacityCache`]
-//! memoizes the three solver entry points behind a *quantized* key so that
-//! float inputs differing only in the last few mantissa bits share one
-//! entry.
+//! every scaler scored against a trace re-derives the same ground-truth
+//! demand curve. [`CapacityCache`] memoizes that curve's solver —
+//! [`min_instances_for_response_time_quantile`], a sweep over Erlang-C
+//! tail bounds — behind a *quantized* key so that float inputs differing
+//! only in the last few mantissa bits share one entry. (Algorithm 1's
+//! utilization inversion is a handful of float operations and is never
+//! memoized: a probe would cost more than the solve.)
 //!
 //! # Keying and error bound
 //!
@@ -34,12 +35,9 @@ use std::collections::HashMap;
 // audit:allow(R8): cache interior mutability; hits return memoized bit-identical values
 use std::sync::Mutex;
 
-use chamulteon_obs::{Counter, MetricsRegistry};
+use chamulteon_obs::Counter;
 
-use crate::capacity::{
-    min_instances_for_response_time, min_instances_for_response_time_quantile,
-    min_instances_for_utilization,
-};
+use crate::capacity::min_instances_for_response_time_quantile;
 use crate::error::QueueingError;
 
 /// Number of low mantissa bits masked off when bucketing a float key:
@@ -84,68 +82,9 @@ fn positive_quantize_down(x: f64) -> f64 {
     }
 }
 
-/// Corner evaluation of the Utilization solver with the target hoisted:
-/// construction applies the invalid-target policy and quantizes the target
-/// down to its bucket corner once, and every [`solve`] call is then the
-/// pure closed-form inversion at the quantized input corner — exactly the
-/// value a [`CapacityCache`] memo entry would hold, with zero per-query
-/// setup, no lock, and no hit/miss accounting.
-///
-/// Obtained from [`CapacityCache::utilization_corner_solver`]; `Copy`, so
-/// worker threads sharding a decision pass can each carry their own.
-///
-/// [`solve`]: UtilizationCornerSolver::solve
-#[derive(Debug, Clone, Copy)]
-pub struct UtilizationCornerSolver {
-    rho: f64,
-}
-
-impl UtilizationCornerSolver {
-    /// Builds a solver for `target_utilization`, applying the same
-    /// invalid-target policy as every memoized entry point (NaN, infinite,
-    /// or non-positive targets mean full utilization).
-    fn new(target_utilization: f64) -> Self {
-        let target = if target_utilization.is_finite() && target_utilization > 0.0 {
-            target_utilization.min(1.0)
-        } else {
-            1.0
-        };
-        UtilizationCornerSolver {
-            rho: quantize_down(target),
-        }
-    }
-
-    /// Sizes one `(arrival_rate, service_demand)` query at the quantized
-    /// bucket corner — bit-identical to
-    /// [`CapacityCache::min_instances_for_utilization`] with the same
-    /// target, including the degenerate-input bypass.
-    #[must_use]
-    #[inline]
-    pub fn solve(&self, arrival_rate: f64, service_demand: f64) -> u32 {
-        if !(arrival_rate > 0.0) || !(service_demand > 0.0) {
-            return 1; // the solver's degenerate fast path
-        }
-        min_instances_for_utilization(
-            quantize_up(arrival_rate),
-            quantize_up(service_demand),
-            self.rho,
-        )
-    }
-}
-
-/// Which solver a cache entry belongs to (part of the key, so the three
-/// entry points never collide).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum SolverKind {
-    Utilization,
-    MeanResponseTime,
-    ResponseTimeQuantile,
-}
-
 /// A quantized cache key: the bit patterns of the bucket-corner inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CapacityKey {
-    kind: SolverKind,
     arrival_rate: u64,
     service_demand: u64,
     target: u64,
@@ -233,22 +172,9 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Fraction of counted lookups answered from the map, in `[0, 1]`
-    /// (0 when nothing was counted yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits.saturating_add(self.misses);
-        if total == 0 {
-            return 0.0;
-        }
-        // audit:allow(lossy-cast): counters fit f64's 53-bit integer range
-        self.hits as f64 / total as f64
-    }
-}
-
-/// A thread-safe memo cache over the capacity solvers in
-/// [`crate::capacity`], keyed by quantized inputs (see the module docs for
-/// the bucketing scheme and error bound).
+/// A thread-safe memo cache over the demand curve's capacity solver
+/// ([`min_instances_for_response_time_quantile`]), keyed by quantized
+/// inputs (see the module docs for the bucketing scheme and error bound).
 ///
 /// Degenerate inputs (non-positive, NaN, out-of-range quantiles) bypass
 /// the cache entirely and are answered by the underlying solver's own
@@ -308,20 +234,6 @@ impl CapacityCache {
         }
     }
 
-    /// Publishes the cache's current state as gauges on an obs metrics
-    /// registry: `capacity_cache.hits`, `capacity_cache.misses`,
-    /// `capacity_cache.hit_rate` and `capacity_cache.entries`.
-    pub fn export_metrics(&self, registry: &MetricsRegistry) {
-        let stats = self.stats();
-        // audit:allow(lossy-cast): counters fit f64's 53-bit integer range
-        registry.set_gauge("capacity_cache.hits", stats.hits as f64);
-        // audit:allow(lossy-cast): counters fit f64's 53-bit integer range
-        registry.set_gauge("capacity_cache.misses", stats.misses as f64);
-        registry.set_gauge("capacity_cache.hit_rate", stats.hit_rate());
-        // audit:allow(lossy-cast): counters fit f64's 53-bit integer range
-        registry.set_gauge("capacity_cache.entries", self.len() as f64);
-    }
-
     /// Number of distinct quantized keys currently stored.
     pub fn len(&self) -> usize {
         self.map.lock().map(|m| m.len()).unwrap_or(0)
@@ -349,210 +261,6 @@ impl CapacityCache {
         }
         // Poisoned lock: degrade to uncached computation.
         solve()
-    }
-
-    /// Memoized [`min_instances_for_utilization`]. Behaviorally identical
-    /// up to the quantization bound: the bucket error (`≤ 2^-40` relative)
-    /// is far inside the solver's own `1e-9` integer-boundary snap.
-    pub fn min_instances_for_utilization(
-        &self,
-        arrival_rate: f64,
-        service_demand: f64,
-        target_utilization: f64,
-    ) -> u32 {
-        if !(arrival_rate > 0.0) || !(service_demand > 0.0) {
-            return 1; // the solver's own degenerate fast path, uncounted
-        }
-        // Same invalid-target policy as the uncached solver: NaN,
-        // infinite, or non-positive targets mean full utilization.
-        let target = if target_utilization.is_finite() && target_utilization > 0.0 {
-            target_utilization.min(1.0)
-        } else {
-            1.0
-        };
-        let lambda = quantize_up(arrival_rate);
-        let demand = quantize_up(service_demand);
-        let rho = quantize_down(target);
-        let key = CapacityKey {
-            kind: SolverKind::Utilization,
-            arrival_rate: lambda.to_bits(),
-            service_demand: demand.to_bits(),
-            target: rho.to_bits(),
-            quantile: 0,
-            max_instances: 0,
-        };
-        self.lookup(key, || {
-            Ok(min_instances_for_utilization(lambda, demand, rho))
-        })
-        .unwrap_or(1)
-    }
-
-    /// Batched [`CapacityCache::min_instances_for_utilization`]: answers
-    /// every `(arrival_rate, service_demand)` query against the shared
-    /// `target_utilization`, taking the cache lock **once** for the whole
-    /// batch instead of once per query — this is what Algorithm 1's
-    /// per-stage sizing calls, so a thousand-service stage pays one lock
-    /// acquisition, not a thousand.
-    ///
-    /// Per query, the result, the degenerate-input bypass, and the
-    /// hit/miss accounting are all identical to issuing the individual
-    /// calls in order.
-    pub fn min_instances_for_utilization_batch(
-        &self,
-        queries: &[(f64, f64)],
-        target_utilization: f64,
-    ) -> Vec<u32> {
-        let mut out = Vec::with_capacity(queries.len());
-        self.min_instances_for_utilization_batch_into(queries, target_utilization, &mut out);
-        out
-    }
-
-    /// [`CapacityCache::min_instances_for_utilization_batch`] writing its
-    /// answers into a caller-provided buffer (cleared first), so a hot
-    /// loop issuing one batch per graph stage can reuse a single
-    /// allocation across thousands of stages.
-    pub fn min_instances_for_utilization_batch_into(
-        &self,
-        queries: &[(f64, f64)],
-        target_utilization: f64,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        out.reserve(queries.len());
-        // Same invalid-target policy as the single-query entry point.
-        let target = if target_utilization.is_finite() && target_utilization > 0.0 {
-            target_utilization.min(1.0)
-        } else {
-            1.0
-        };
-        let rho = quantize_down(target);
-        // One lock for the batch; a poisoned lock degrades every query to
-        // uncached computation, exactly like the single-query path.
-        let mut guard = self.map.lock().ok();
-        for &(arrival_rate, service_demand) in queries {
-            if !(arrival_rate > 0.0) || !(service_demand > 0.0) {
-                out.push(1); // the solver's degenerate fast path, uncounted
-                continue;
-            }
-            let lambda = quantize_up(arrival_rate);
-            let demand = quantize_up(service_demand);
-            let key = CapacityKey {
-                kind: SolverKind::Utilization,
-                arrival_rate: lambda.to_bits(),
-                service_demand: demand.to_bits(),
-                target: rho.to_bits(),
-                quantile: 0,
-                max_instances: 0,
-            };
-            let value = match guard.as_mut() {
-                Some(map) => {
-                    if let Some(found) = map.get(&key) {
-                        self.hits.increment();
-                        found.clone()
-                    } else {
-                        let computed = Ok(min_instances_for_utilization(lambda, demand, rho));
-                        self.misses.increment();
-                        map.insert(key, computed.clone());
-                        computed
-                    }
-                }
-                None => Ok(min_instances_for_utilization(lambda, demand, rho)),
-            };
-            out.push(value.unwrap_or(1));
-        }
-    }
-
-    /// Batched utilization sizing by **direct corner evaluation**: every
-    /// `(arrival_rate, service_demand)` query is answered by running the
-    /// closed-form solver at the cache's quantized bucket corner, without
-    /// touching the memo map.
-    ///
-    /// The answers are bit-identical to
-    /// [`CapacityCache::min_instances_for_utilization_batch`] (and the
-    /// single-query path): a memo entry for the Utilization kind is
-    /// nothing but `min_instances_for_utilization` evaluated at the same
-    /// quantized corner, and that solver is a pure function. What changes
-    /// is only the cost profile — the closed-form inversion is a handful
-    /// of float ops, cheaper than the lock + hash + probe (and, cold, the
-    /// insert) it would take to memoize it, so the thousand-service
-    /// decision pass uses this entry point. The memoized batch remains the
-    /// right call for solvers that are genuinely expensive (the Erlang
-    /// response-time sweeps). No hit/miss accounting: nothing is looked
-    /// up. The degenerate-input bypass matches the memoized path exactly.
-    pub fn min_instances_for_utilization_corner_batch(
-        &self,
-        queries: &[(f64, f64)],
-        target_utilization: f64,
-    ) -> Vec<u32> {
-        let mut out = Vec::with_capacity(queries.len());
-        self.min_instances_for_utilization_corner_batch_into(queries, target_utilization, &mut out);
-        out
-    }
-
-    /// [`CapacityCache::min_instances_for_utilization_corner_batch`]
-    /// writing into a caller-provided buffer (cleared first), for hot
-    /// loops that issue one batch per graph stage.
-    pub fn min_instances_for_utilization_corner_batch_into(
-        &self,
-        queries: &[(f64, f64)],
-        target_utilization: f64,
-        out: &mut Vec<u32>,
-    ) {
-        let solver = self.utilization_corner_solver(target_utilization);
-        out.clear();
-        out.reserve(queries.len());
-        for &(arrival_rate, service_demand) in queries {
-            out.push(solver.solve(arrival_rate, service_demand));
-        }
-    }
-
-    /// A hoisted corner evaluator answering exactly what this cache would
-    /// memoize for the Utilization solver at `target_utilization`: the
-    /// invalid-target policy and the bucket-corner quantization of the
-    /// target happen **once** here, so a caller issuing thousands of
-    /// per-service solves per decision pass pays only the pure closed-form
-    /// inversion per query.
-    #[must_use]
-    pub fn utilization_corner_solver(&self, target_utilization: f64) -> UtilizationCornerSolver {
-        UtilizationCornerSolver::new(target_utilization)
-    }
-
-    /// Memoized [`min_instances_for_response_time`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as the underlying solver (evaluated at the bucket
-    /// corner for valid inputs; validation errors come from the exact
-    /// inputs, uncached).
-    pub fn min_instances_for_response_time(
-        &self,
-        arrival_rate: f64,
-        service_demand: f64,
-        response_time_target: f64,
-        max_instances: u32,
-    ) -> Result<u32, QueueingError> {
-        if !(arrival_rate > 0.0) || !(service_demand > 0.0) || !(response_time_target > 0.0) {
-            return min_instances_for_response_time(
-                arrival_rate,
-                service_demand,
-                response_time_target,
-                max_instances,
-            );
-        }
-        let lambda = quantize_up(arrival_rate);
-        let demand = quantize_up(service_demand);
-        let target = positive_quantize_down(response_time_target);
-        let key = CapacityKey {
-            kind: SolverKind::MeanResponseTime,
-            arrival_rate: lambda.to_bits(),
-            service_demand: demand.to_bits(),
-            target: target.to_bits(),
-            quantile: 0,
-            max_instances,
-        };
-        self.lookup(key, || {
-            min_instances_for_response_time(lambda, demand, target, max_instances)
-        })
     }
 
     // Each `!(x > 0.0)` term in the body deliberately treats NaN as
@@ -602,7 +310,6 @@ impl CapacityCache {
             }
         };
         let key = CapacityKey {
-            kind: SolverKind::ResponseTimeQuantile,
             arrival_rate: lambda.to_bits(),
             service_demand: demand.to_bits(),
             target: target.to_bits(),
@@ -655,7 +362,6 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(a, b);
         assert_eq!(cache.len(), 1);
-        assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -696,124 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn utilization_entry_matches_plain_solver() {
-        let cache = CapacityCache::new();
-        for &(lambda, s, rho) in &[
-            (85.0, 0.1, 0.8),
-            (200.0, 0.1, 0.8),
-            (80.0, 0.1, 0.8), // exact integer boundary: snap must hold
-            (17.0, 0.059, 0.85),
-            (0.0, 0.1, 0.8),
-            (f64::NAN, 0.1, 0.8),
-            (100.0, 0.1, 5.0),
-        ] {
-            assert_eq!(
-                cache.min_instances_for_utilization(lambda, s, rho),
-                min_instances_for_utilization(lambda, s, rho),
-                "λ={lambda} s={s} ρ={rho}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_matches_individual_calls_and_counters() {
-        let queries: Vec<(f64, f64)> = vec![
-            (85.0, 0.1),
-            (200.0, 0.059),
-            (85.0, 0.1), // exact repeat: dedupe via cache hit
-            (0.0, 0.1),  // degenerate: bypass, uncounted
-            (50.0, f64::NAN),
-            (17.0, 0.04),
-        ];
-        let batched = CapacityCache::new();
-        let individual = CapacityCache::new();
-        let got = batched.min_instances_for_utilization_batch(&queries, 0.8);
-        let want: Vec<u32> = queries
-            .iter()
-            .map(|&(l, d)| individual.min_instances_for_utilization(l, d, 0.8))
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(batched.stats(), individual.stats());
-        assert_eq!(batched.stats(), CacheStats { hits: 1, misses: 3 });
-        assert_eq!(batched.len(), individual.len());
-    }
-
-    #[test]
-    fn batch_warm_cache_only_hits() {
-        let cache = CapacityCache::new();
-        let queries = vec![(85.0, 0.1), (200.0, 0.059)];
-        let cold = cache.min_instances_for_utilization_batch(&queries, 0.8);
-        let warm = cache.min_instances_for_utilization_batch(&queries, 0.8);
-        assert_eq!(cold, warm);
-        assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 2 });
-    }
-
-    #[test]
-    fn batch_degenerate_target_matches_single() {
-        let batched = CapacityCache::new();
-        let single = CapacityCache::new();
-        for &rho in &[f64::NAN, -1.0, 0.0, 5.0] {
-            let got = batched.min_instances_for_utilization_batch(&[(100.0, 0.1)], rho);
-            assert_eq!(
-                got[0],
-                single.min_instances_for_utilization(100.0, 0.1, rho)
-            );
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let cache = CapacityCache::new();
-        assert!(cache
-            .min_instances_for_utilization_batch(&[], 0.8)
-            .is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn corner_batch_is_bit_identical_to_memoized_batch() {
-        // The corner batch must agree with the memoized path on every
-        // query — boundaries, repeats, degenerates, NaNs — both against a
-        // cold memo (values inserted from the corner solve) and a warm one
-        // (values cloned out of the map).
-        let queries: Vec<(f64, f64)> = vec![
-            (85.0, 0.1),
-            (200.0, 0.059),
-            (80.0, 0.1), // exact integer boundary: 10 instances
-            (85.0, 0.1), // exact repeat
-            (0.0, 0.1),  // degenerate rate
-            (50.0, f64::NAN),
-            (-3.0, 0.2),
-            (1e-300, 0.25),
-            (17.0, 0.04),
-        ];
-        for &rho in &[0.8, 0.65, 1.0, 0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let cache = CapacityCache::new();
-            let memoized_cold = cache.min_instances_for_utilization_batch(&queries, rho);
-            let memoized_warm = cache.min_instances_for_utilization_batch(&queries, rho);
-            let corner = cache.min_instances_for_utilization_corner_batch(&queries, rho);
-            assert_eq!(corner, memoized_cold, "rho={rho}");
-            assert_eq!(corner, memoized_warm, "rho={rho}");
-        }
-    }
-
-    #[test]
-    fn corner_batch_issues_no_lookups() {
-        let cache = CapacityCache::new();
-        let out = cache.min_instances_for_utilization_corner_batch(&[(85.0, 0.1)], 0.8);
-        assert_eq!(out.len(), 1);
-        assert_eq!(cache.stats(), CacheStats::default());
-        assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
     fn degenerate_inputs_bypass_cache() {
         let cache = CapacityCache::new();
         assert!(cache
             .min_instances_for_response_time_quantile(10.0, 0.1, 0.5, 1.5, 100)
             .is_err());
         assert!(cache
-            .min_instances_for_response_time(10.0, -0.1, 0.5, 100)
+            .min_instances_for_response_time_quantile(10.0, -0.1, 0.5, 0.9, 100)
             .is_err());
         assert_eq!(
             cache
@@ -829,7 +424,7 @@ mod tests {
     fn errors_are_cached_too() {
         let cache = CapacityCache::new();
         for _ in 0..2 {
-            match cache.min_instances_for_response_time(1000.0, 0.1, 0.11, 50) {
+            match cache.min_instances_for_response_time_quantile(1000.0, 0.1, 0.11, 0.9, 50) {
                 Err(QueueingError::Infeasible {
                     required: Some(req),
                     ..
@@ -846,25 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn export_metrics_publishes_gauges() {
-        let cache = CapacityCache::new();
-        let _ = cache.min_instances_for_response_time(100.0, 0.1, 0.5, 1000);
-        let _ = cache.min_instances_for_response_time(100.0, 0.1, 0.5, 1000);
-        let registry = MetricsRegistry::new();
-        cache.export_metrics(&registry);
-        assert_eq!(registry.gauge_value("capacity_cache.hits"), Some(1.0));
-        assert_eq!(registry.gauge_value("capacity_cache.misses"), Some(1.0));
-        assert_eq!(registry.gauge_value("capacity_cache.hit_rate"), Some(0.5));
-        assert_eq!(registry.gauge_value("capacity_cache.entries"), Some(1.0));
-    }
-
-    #[test]
     fn clone_carries_entries() {
         let cache = CapacityCache::new();
-        let _ = cache.min_instances_for_response_time(100.0, 0.1, 0.5, 1000);
+        let _ = cache.min_instances_for_response_time_quantile(100.0, 0.1, 0.5, 0.9, 1000);
         let copy = cache.clone();
         assert_eq!(copy.len(), 1);
-        let _ = copy.min_instances_for_response_time(100.0, 0.1, 0.5, 1000);
+        let _ = copy.min_instances_for_response_time_quantile(100.0, 0.1, 0.5, 0.9, 1000);
         assert_eq!(copy.stats().hits, 1);
         // The original's counters are unaffected by the clone's lookups.
         assert_eq!(cache.stats().hits, 0);

@@ -30,7 +30,7 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately rejects NaN
 #![warn(missing_docs)]
 
-/// Quantized-key memoization for the capacity solvers.
+/// Quantized-key memoization for the demand curve's capacity solver.
 pub mod cache;
 /// Inverse capacity solvers: instances needed for a load and an SLO.
 pub mod capacity;
@@ -43,7 +43,7 @@ pub mod mmn;
 /// Open tandem networks of M/M/n stations.
 pub mod network;
 
-pub use cache::{CacheStats, CapacityCache, UtilizationCornerSolver};
+pub use cache::{CacheStats, CapacityCache};
 pub use capacity::{
     max_arrival_rate_for_utilization, min_instances_for_response_time,
     min_instances_for_response_time_quantile, min_instances_for_utilization,

@@ -44,8 +44,8 @@ fn sweep_observed(obs: &Obs) -> u64 {
                 Event::cycle(
                     rate,
                     EventKind::CapacitySolve {
-                        hits: 0,
-                        misses: u64::from(n),
+                        solved: u64::from(n),
+                        held: 0,
                     },
                 )
             });

@@ -83,7 +83,6 @@ pub const DECISION_PATH_MODULES: &[&str] = &[
     "bench/src/des_scale.rs",
     "bench/src/drivers.rs",
     "bench/src/experiment.rs",
-    "bench/src/graph_scale.rs",
     "bench/src/multi_tenant.rs",
     "bench/src/pool.rs",
     "bench/src/robustness.rs",
