@@ -1,4 +1,4 @@
-//! des-scale runners: the event-driven core on Wikipedia-day diurnal
+//! des-scale runners: the simulation engine on Wikipedia-day diurnal
 //! traces at 10k / 100k / 1M req/s, pure-DES vs hybrid.
 //!
 //! ROADMAP's scale thread asks what the measurement substrate itself
@@ -27,7 +27,7 @@
 
 use chamulteon_perfmodel::{ApplicationModel, ApplicationModelBuilder};
 use chamulteon_queueing::capacity::min_instances_for_utilization;
-use chamulteon_sim::{DeploymentProfile, DesSimulation, HybridConfig, SimulationConfig, SloPolicy};
+use chamulteon_sim::{DeploymentProfile, HybridConfig, Simulation, SimulationConfig, SloPolicy};
 use chamulteon_workload::{generators, LoadTrace};
 
 /// Instance ceiling for the scale models — far above what 1M req/s
@@ -38,7 +38,7 @@ const MAX_INSTANCES: u32 = 10_000_000;
 const PROVISION_RHO: f64 = 0.7;
 
 /// One des-scale configuration: a diurnal trace at `peak` req/s,
-/// executed on the event-driven core, optionally with the hybrid switch.
+/// optionally with the hybrid switch armed.
 #[derive(Debug, Clone)]
 pub struct DesScaleCase {
     /// Row label (`"10k"`, `"100k"`, `"1M"`, `"1M-day"`).
@@ -140,7 +140,7 @@ pub fn headline_case(seed: u64) -> DesScaleCase {
     }
 }
 
-/// Runs one des-scale case on the event-driven core and returns what it
+/// Runs one des-scale case and returns what it
 /// measured; `None` when the model cannot be built (statically
 /// impossible with the constants above — kept fallible so this module
 /// stays panic-free).
@@ -152,7 +152,7 @@ pub fn run_des_scale_case(case: &DesScaleCase) -> Option<DesScaleMeasures> {
     if let Some(hybrid) = case.hybrid {
         config = config.with_hybrid(hybrid);
     }
-    let mut sim = DesSimulation::new(&model, &trace, config);
+    let mut sim = Simulation::new(&model, &trace, config);
 
     // Static peak provisioning at ρ = 0.7 — the bench measures the core,
     // not a scaler, so capacity never binds.

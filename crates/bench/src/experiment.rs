@@ -11,141 +11,10 @@ use chamulteon_perfmodel::ApplicationModel;
 use chamulteon_queueing::capacity::min_instances_for_utilization;
 use chamulteon_queueing::CapacityCache;
 use chamulteon_sim::{
-    DeploymentProfile, DesSimulation, FaultPlan, HybridConfig, ObservedSample, RecoveryPolicy,
-    SimError, Simulation, SimulationConfig, SimulationResult, SloPolicy, SupplyChange,
+    DeploymentProfile, FaultPlan, RecoveryPolicy, Simulation, SimulationConfig, SimulationResult,
+    SloPolicy, SupplyChange,
 };
 use chamulteon_workload::LoadTrace;
-
-/// Which simulation core executes an experiment.
-///
-/// Every core presents the same `ObservedSample`/`SimulationResult`
-/// surface, so the measurement loop, the scalers and the scoring run
-/// unmodified on either; the default everywhere is the fixed-step engine.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum CoreKind {
-    /// The fixed-step engine — the seed measurement substrate, with VM
-    /// pool and fork support.
-    #[default]
-    FixedStep,
-    /// The event-driven core in pure-DES mode (bit-exact with the
-    /// fixed-step engine on flat deployments).
-    EventDriven,
-    /// The event-driven core with the hybrid fluid-flow switch armed.
-    Hybrid(HybridConfig),
-}
-
-/// Either simulation core behind the one dispatch surface the
-/// measurement loop uses. Both variants are boxed: each engine carries
-/// per-service state (and the event core a request slab and event heap)
-/// that would otherwise bloat every `RunState` the enum sits in.
-#[derive(Clone)]
-pub enum SimCore {
-    /// The fixed-step engine.
-    Fixed(Box<Simulation>),
-    /// The event-driven core (pure or hybrid, per its config).
-    Des(Box<DesSimulation>),
-}
-
-impl SimCore {
-    /// Builds the requested core over the same model/trace/config.
-    pub fn new(
-        kind: CoreKind,
-        model: &ApplicationModel,
-        trace: &LoadTrace,
-        config: SimulationConfig,
-    ) -> Self {
-        match kind {
-            CoreKind::FixedStep => SimCore::Fixed(Box::new(Simulation::new(model, trace, config))),
-            CoreKind::EventDriven => {
-                SimCore::Des(Box::new(DesSimulation::new(model, trace, config)))
-            }
-            CoreKind::Hybrid(hybrid) => SimCore::Des(Box::new(DesSimulation::new(
-                model,
-                trace,
-                config.with_hybrid(hybrid),
-            ))),
-        }
-    }
-
-    /// See [`Simulation::run_until`].
-    pub fn run_until(&mut self, t: f64) -> Result<(), SimError> {
-        match self {
-            SimCore::Fixed(sim) => sim.run_until(t),
-            SimCore::Des(sim) => sim.run_until(t),
-        }
-    }
-
-    /// See [`Simulation::observe_interval`].
-    pub fn observe_interval(&self, index: usize) -> Option<Vec<Option<ObservedSample>>> {
-        match self {
-            SimCore::Fixed(sim) => sim.observe_interval(index),
-            SimCore::Des(sim) => sim.observe_interval(index),
-        }
-    }
-
-    /// See [`Simulation::controller_crash_at`].
-    pub fn controller_crash_at(&mut self, cycle: usize, time: f64) -> bool {
-        match self {
-            SimCore::Fixed(sim) => sim.controller_crash_at(cycle, time),
-            SimCore::Des(sim) => sim.controller_crash_at(cycle, time),
-        }
-    }
-
-    /// See [`Simulation::provisioned`].
-    pub fn provisioned(&self, service: usize) -> u32 {
-        match self {
-            SimCore::Fixed(sim) => sim.provisioned(service),
-            SimCore::Des(sim) => sim.provisioned(service),
-        }
-    }
-
-    /// See [`Simulation::set_supply`].
-    pub fn set_supply(&mut self, service: usize, count: u32) -> Result<(), SimError> {
-        match self {
-            SimCore::Fixed(sim) => sim.set_supply(service, count),
-            SimCore::Des(sim) => sim.set_supply(service, count),
-        }
-    }
-
-    /// See [`Simulation::scale_to`].
-    pub fn scale_to(&mut self, service: usize, target: u32) -> Result<(), SimError> {
-        match self {
-            SimCore::Fixed(sim) => sim.scale_to(service, target),
-            SimCore::Des(sim) => sim.scale_to(service, target),
-        }
-    }
-
-    /// See [`Simulation::fork_with_fault_plan`]. The event-driven core
-    /// does not fork; robustness-grid callers fall back to a
-    /// from-scratch run.
-    pub fn fork_with_fault_plan(&self, plan: FaultPlan) -> Result<SimCore, SimError> {
-        match self {
-            SimCore::Fixed(sim) => sim
-                .fork_with_fault_plan(plan)
-                .map(|forked| SimCore::Fixed(Box::new(forked))),
-            SimCore::Des(sim) => sim
-                .fork_with_fault_plan(plan)
-                .map(|forked| SimCore::Des(Box::new(forked))),
-        }
-    }
-
-    /// Events the event-driven core has processed; `None` on the
-    /// fixed-step engine, which has no event counter.
-    pub fn events_processed(&self) -> Option<u64> {
-        match self {
-            SimCore::Fixed(_) => None,
-            SimCore::Des(sim) => Some(sim.events_processed()),
-        }
-    }
-
-    /// See [`Simulation::finish`].
-    pub fn finish(self) -> SimulationResult {
-        match self {
-            SimCore::Fixed(sim) => sim.finish(),
-            SimCore::Des(sim) => sim.finish(),
-        }
-    }
-}
 
 /// One measurement scenario — everything Table II–V vary: the trace, the
 /// deployment (Docker vs. VM provisioning delays), the scaling interval
@@ -206,25 +75,6 @@ pub struct FaultedOutcome {
 /// with the deployment profile's provisioning delays.
 pub fn run_experiment(spec: &ExperimentSpec, kind: ScalerKind) -> ExperimentOutcome {
     run_experiment_with_faults(spec, kind, None, &RetryPolicy::no_retries()).outcome
-}
-
-/// [`run_experiment`] on an explicitly chosen simulation core — the
-/// entry point the `des-scale` bench uses to drive the same scalers and
-/// scoring through the event-driven core (pure or hybrid) instead of the
-/// fixed-step engine.
-pub fn run_experiment_on(
-    spec: &ExperimentSpec,
-    kind: ScalerKind,
-    core: CoreKind,
-) -> ExperimentOutcome {
-    let cache = CapacityCache::new();
-    finalize_run(
-        init_run_observed_on(spec, kind, None, &Obs::disabled(), core),
-        spec,
-        &RetryPolicy::no_retries(),
-        &cache,
-    )
-    .outcome
 }
 
 /// Like [`run_experiment`], but with an optional [`FaultPlan`] injecting
@@ -317,7 +167,7 @@ pub(crate) fn run_experiment_with_faults_cached(
 /// the clone instead of replaying the prefix from scratch.
 #[derive(Clone)]
 pub(crate) struct RunState {
-    sim: SimCore,
+    sim: Simulation,
     driver: Driver,
     kind: ScalerKind,
     harness_log: DegradationLog,
@@ -380,17 +230,6 @@ pub(crate) fn init_run_observed(
     fault_plan: Option<FaultPlan>,
     obs: &Obs,
 ) -> RunState {
-    init_run_observed_on(spec, kind, fault_plan, obs, CoreKind::FixedStep)
-}
-
-/// [`init_run_observed`] on an explicitly chosen simulation core.
-pub(crate) fn init_run_observed_on(
-    spec: &ExperimentSpec,
-    kind: ScalerKind,
-    fault_plan: Option<FaultPlan>,
-    obs: &Obs,
-    core: CoreKind,
-) -> RunState {
     let nominal: Vec<f64> = spec
         .model
         .services()
@@ -403,7 +242,7 @@ pub(crate) fn init_run_observed_on(
     if let Some(plan) = fault_plan {
         config = config.with_fault_plan(plan);
     }
-    let mut sim = SimCore::new(core, &spec.model, &spec.trace, config);
+    let mut sim = Simulation::new(&spec.model, &spec.trace, config);
 
     // Fair initial placement: size every tier for the trace's initial rate
     // at a moderate utilization (every competitor starts identically).
@@ -748,38 +587,6 @@ pub fn supply_step_fn(timeline: &[SupplyChange]) -> StepFn {
 mod tests {
     use super::*;
     use crate::setups::smoke_test;
-
-    #[test]
-    fn event_driven_core_reproduces_the_fixed_step_experiment_bit_exactly() {
-        // The whole measurement loop — scaler decisions included — run on
-        // the event-driven core must produce the identical
-        // SimulationResult: same observations in, same commands out, same
-        // request accounting.
-        let spec = smoke_test();
-        let fixed = run_experiment(&spec, ScalerKind::Chamulteon);
-        let des = run_experiment_on(&spec, ScalerKind::Chamulteon, CoreKind::EventDriven);
-        assert_eq!(fixed.result, des.result);
-        assert_eq!(fixed.billed_instance_seconds, des.billed_instance_seconds);
-    }
-
-    #[test]
-    fn hybrid_core_runs_the_experiment_loop() {
-        // With the switch armed the loop still completes and conserves
-        // requests; at smoke-test loads the thresholds may or may not
-        // engage — the contract here is the unmodified driver surface.
-        let spec = smoke_test();
-        let outcome = run_experiment_on(
-            &spec,
-            ScalerKind::Chamulteon,
-            CoreKind::Hybrid(HybridConfig::default()),
-        );
-        let sent: u64 = outcome.result.sent_per_second.iter().sum();
-        assert_eq!(
-            sent,
-            outcome.result.completed + outcome.result.in_flight_at_end
-        );
-        assert!(outcome.result.completed > 0);
-    }
 
     #[test]
     fn checkpoint_interval_is_strictly_before_fault_windows() {

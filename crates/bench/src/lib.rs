@@ -57,9 +57,8 @@ pub mod setups;
 pub use des_scale::{run_des_scale_case, DesScaleCase, DesScaleMeasures};
 pub use drivers::ScalerKind;
 pub use experiment::{
-    run_experiment, run_experiment_observed, run_experiment_on, run_experiment_recovered,
-    run_experiment_with_faults, CoreKind, ExperimentOutcome, ExperimentSpec, FaultedOutcome,
-    SimCore,
+    run_experiment, run_experiment_observed, run_experiment_recovered, run_experiment_with_faults,
+    ExperimentOutcome, ExperimentSpec, FaultedOutcome,
 };
 pub use multi_tenant::{run_multi_tenant, MultiTenantOutcome, MultiTenantSpec, TenantReport};
 pub use paper::{run_lineup, run_lineup_seq, run_lineup_with_threads};

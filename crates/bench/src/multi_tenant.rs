@@ -3,7 +3,7 @@
 //! warm pool.
 //!
 //! Each tenant runs the full single-tenant measurement stack — its own
-//! [`SimCore`] over a phase-offset diurnal trace and its own scaler
+//! [`Simulation`] over a phase-offset diurnal trace and its own scaler
 //! [`Driver`] — but instead of applying its per-service targets directly,
 //! every scaling interval it aggregates them into one
 //! [`TenantProposal`] and submits it to the shared arbiter. The arbiter
@@ -25,13 +25,12 @@
 //! folding the warm pool into provisioning latency is future work.
 
 use crate::drivers::{Driver, ScalerKind};
-use crate::experiment::SimCore;
 use chamulteon::{ArbitrationPolicy, ChargingModel, ClusterArbiter, ClusterEvent, TenantProposal};
 use chamulteon_obs::{Event, EventKind, Obs, WarmAction};
 use chamulteon_perfmodel::ApplicationModel;
 use chamulteon_queueing::capacity::min_instances_for_utilization;
 use chamulteon_sim::RecoveryPolicy;
-use chamulteon_sim::{DeploymentProfile, SimulationConfig, SloPolicy};
+use chamulteon_sim::{DeploymentProfile, Simulation, SimulationConfig, SloPolicy};
 use chamulteon_workload::generators::{
     bibsonomy_like, peak_rate_for_total_instances, wikipedia_like,
 };
@@ -277,7 +276,7 @@ fn json_f64(v: f64) -> String {
 
 /// One tenant's live state inside the measurement loop.
 struct TenantRun {
-    sim: SimCore,
+    sim: Simulation,
     driver: Driver,
     weight: f64,
     /// Set when the tenant's trace ended mid-interval; it then stops
@@ -349,7 +348,7 @@ fn init_tenant(
         spec.seed.wrapping_add(100 + index as u64),
     )
     .with_monitoring_interval(spec.scaling_interval);
-    let mut sim = SimCore::new(crate::experiment::CoreKind::FixedStep, model, trace, config);
+    let mut sim = Simulation::new(model, trace, config);
 
     let rate0 = trace.rate_at(0.0);
     let visit_ratios = model.visit_ratios();

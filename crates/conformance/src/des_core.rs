@@ -1,6 +1,6 @@
 //! Event-driven-core differential oracle.
 //!
-//! The event-driven simulation core in `chamulteon-sim` ([`DesSimulation`])
+//! The simulation engine in `chamulteon-sim` ([`Simulation`])
 //! implements M/M/n stations twice over: exactly, as per-request events,
 //! and approximately, as the hybrid fluid regime's analytic drift plus
 //! Erlang-C tail synthesis. Both paths must reproduce the true M/M/n
@@ -31,7 +31,7 @@ use crate::mmn_sim::{self, Estimate};
 use crate::report::OracleReport;
 use chamulteon_perfmodel::{ApplicationModel, ApplicationModelBuilder};
 use chamulteon_queueing::MmnQueue;
-use chamulteon_sim::{DeploymentProfile, DesSimulation, HybridConfig, SimulationConfig, SloPolicy};
+use chamulteon_sim::{DeploymentProfile, HybridConfig, Simulation, SimulationConfig, SloPolicy};
 use chamulteon_workload::LoadTrace;
 
 /// Lossless-enough `u64 → f64` for request counts (all values here are
@@ -97,7 +97,7 @@ fn run_des(
     if let Some(h) = hybrid {
         config = config.with_hybrid(h);
     }
-    let sim = DesSimulation::new(&model, &trace, config);
+    let sim = Simulation::new(&model, &trace, config);
     let result = sim.run_to_end();
     if result.completed == 0 {
         return None;

@@ -112,17 +112,13 @@ impl SloPolicy {
     }
 }
 
-/// Knobs of the hybrid fluid regime of the event-driven core
-/// ([`crate::des::DesSimulation`]): when a service's *offered load* (its
-/// deterministic trace-driven arrival rate × service demand, in Erlangs)
-/// crosses `threshold_erlangs`, the event core stops simulating that
-/// service per-request and switches to an analytic M/M/n fluid
-/// approximation; it switches back only once the offered load falls below
-/// `hysteresis_ratio × threshold_erlangs`, so a load hovering at the
-/// threshold cannot make the regime ping-pong every evaluation.
-///
-/// The fixed-step engine ([`crate::Simulation`]) ignores this field
-/// entirely, which is what keeps the two cores drop-in interchangeable.
+/// Knobs of the hybrid fluid regime of [`crate::Simulation`]: when a
+/// service's *offered load* (its deterministic trace-driven arrival rate ×
+/// service demand, in Erlangs) crosses `threshold_erlangs`, the engine
+/// stops simulating that service per-request and switches to an analytic
+/// M/M/n fluid approximation; it switches back only once the offered load
+/// falls below `hysteresis_ratio × threshold_erlangs`, so a load hovering
+/// at the threshold cannot make the regime ping-pong every evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridConfig {
     /// Offered load (Erlangs) above which a service turns fluid.
@@ -195,9 +191,8 @@ pub struct SimulationConfig {
     pub vm_pool: Option<crate::nested::VmPoolConfig>,
     /// Optional deterministic fault injection (see [`crate::fault`]).
     pub fault_plan: Option<crate::fault::FaultPlan>,
-    /// Optional hybrid fluid regime of the event-driven core; `None` keeps
-    /// [`crate::des::DesSimulation`] pure-DES. Ignored by the fixed-step
-    /// engine.
+    /// Optional hybrid fluid regime; `None` keeps [`crate::Simulation`] a
+    /// pure discrete-event simulation.
     pub hybrid: Option<HybridConfig>,
 }
 
@@ -231,8 +226,7 @@ impl SimulationConfig {
         self
     }
 
-    /// Enables the hybrid fluid regime of the event-driven core
-    /// ([`crate::des::DesSimulation`]); the fixed-step engine ignores it.
+    /// Enables the hybrid fluid regime of [`crate::Simulation`].
     pub fn with_hybrid(mut self, hybrid: HybridConfig) -> Self {
         self.hybrid = Some(hybrid);
         self

@@ -28,6 +28,27 @@
 //! models are propagated analytically in `chamulteon-perfmodel`; simulating
 //! forks/joins is out of scope of this reproduction.
 //!
+//! One engine, [`Simulation`], runs every experiment. Its modules:
+//!
+//! * `event` — a binary heap of timestamped, *cancellable* events
+//!   with a monotonically increasing sequence number breaking equal-time
+//!   ties, so the event order (and therefore every random draw) is stable
+//!   in the seed alone;
+//! * `station` — per-service FIFO M/M/n stations that run in one of two
+//!   regimes: *discrete* (every request is an entity generating
+//!   arrival/completion events) or *fluid* (an analytic M/M/n
+//!   approximation);
+//! * `fluid` — the piecewise-exact mean-drift integrator and the analytic
+//!   sojourn sampler behind the fluid regime;
+//! * [`engine`] — the event loop, the nested VM pool ([`nested`]), the
+//!   checkpoint fork behind the robustness grid, and the hysteretic hybrid
+//!   switch ([`HybridConfig`]) that moves a station between the regimes as
+//!   its offered load crosses the threshold, conserving in-flight requests
+//!   bit-exactly across every transition.
+//!
+//! See DESIGN.md §15 for the event taxonomy, the cancellation mechanism,
+//! the switch criterion and the conservation argument.
+//!
 //! # Example
 //!
 //! ```
@@ -50,15 +71,16 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod des;
 pub mod engine;
 pub mod error;
+mod event;
 pub mod fault;
+mod fluid;
 pub mod nested;
+mod station;
 pub mod stats;
 
 pub use config::{DeploymentProfile, HybridConfig, SimulationConfig, SloPolicy};
-pub use des::DesSimulation;
 pub use engine::{RecoveryPolicy, Simulation};
 pub use error::SimError;
 pub use fault::{CorruptionMode, FaultKind, FaultPlan, FaultRecord, FaultWindow};

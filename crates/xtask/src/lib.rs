@@ -72,8 +72,8 @@ pub const DECISION_PATH_CRATES: &[&str] = &[
 /// though their crates are already covered by [`DECISION_PATH_CRATES`]:
 /// crash recovery runs exactly when the system is least healthy, so
 /// these pins survive any future re-layering of the crate list. The
-/// event-driven core (`sim/src/des/`) and its scale runner are pinned
-/// for the same reason: the hybrid regime switch executes inside the
+/// simulation engine (`sim/src/{engine,event,fluid,station}.rs`) and its
+/// scale runner are pinned for the same reason: the hybrid regime switch executes inside the
 /// measurement loop, and its conservation accounting must hold at loads
 /// where a panic would discard hours of simulated time. The cluster
 /// arbiter, its conformance oracle and the multi-tenant loop join the
@@ -92,10 +92,10 @@ pub const DECISION_PATH_MODULES: &[&str] = &[
     "core/src/snapshot.rs",
     "perfmodel/src/arena.rs",
     "perfmodel/src/topology.rs",
-    "sim/src/des/engine.rs",
-    "sim/src/des/event.rs",
-    "sim/src/des/fluid.rs",
-    "sim/src/des/station.rs",
+    "sim/src/engine.rs",
+    "sim/src/event.rs",
+    "sim/src/fluid.rs",
+    "sim/src/station.rs",
 ];
 
 /// Crates whose capacity math must use checked conversions (R3).
@@ -585,6 +585,22 @@ mod tests {
         }
         // Sibling bench files stay exempt.
         assert!(audit_source("bench", Path::new("crates/bench/src/paper.rs"), text).is_empty());
+    }
+
+    #[test]
+    fn module_lists_name_files_that_exist() {
+        // A moved or deleted file must not silently drop out of the audit.
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for module in DECISION_PATH_MODULES
+            .iter()
+            .chain(TIMING_WHITELIST_MODULES)
+            .chain(CONCURRENCY_WHITELIST_MODULES)
+        {
+            assert!(
+                crates.join(module).is_file(),
+                "crates/{module} does not exist"
+            );
+        }
     }
 
     #[test]
