@@ -36,8 +36,8 @@ impl VmPoolConfig {
     }
 }
 
-/// Runtime state of the VM pool (internal to the engine, exposed read-only
-/// through `Simulation` accessors).
+/// Runtime state of the VM pool, internal to the engine
+/// (`Simulation::waiting_containers` reports the boot queue).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VmPoolState {
     pub(crate) config: VmPoolConfig,
