@@ -240,8 +240,8 @@ impl Chamulteon {
     /// # Errors
     ///
     /// [`SnapshotError::Inconsistent`] when the snapshot's service count
-    /// or per-service vectors disagree with `model`, or its entry history
-    /// fails validation.
+    /// disagrees with `model`, an estimator window capacity differs from
+    /// `config.demand_window`, or its entry history fails validation.
     pub fn restore(
         model: ApplicationModel,
         config: ChamulteonConfig,
@@ -256,34 +256,8 @@ impl Chamulteon {
                 ),
             });
         }
-        let per_service = |what: &str, len: usize| -> Result<(), SnapshotError> {
-            if len == services {
-                Ok(())
-            } else {
-                Err(SnapshotError::Inconsistent {
-                    message: format!("{len} {what} records for {services} services"),
-                })
-            }
-        };
-        per_service("estimator", snapshot.estimators.len())?;
-        per_service("spike-gate", snapshot.spike_gates.len())?;
-        per_service("held-sample", snapshot.last_good_samples.len())?;
-        if let Some(fox) = &snapshot.fox {
-            per_service("lease-book", fox.leases.len())?;
-        }
-        if let Some(targets) = &snapshot.last_targets {
-            per_service("last-target", targets.len())?;
-        }
-        for decision in &snapshot.decisions {
-            if decision.service >= services {
-                return Err(SnapshotError::Inconsistent {
-                    message: format!(
-                        "decision for service {} out of range (services: {services})",
-                        decision.service
-                    ),
-                });
-            }
-        }
+        // Every per-service section holds `snapshot.services` entries:
+        // `decode` checks it, and `snapshot` builds it that way.
         let entry_history = match &snapshot.entry_history {
             None => None,
             Some(h) => Some(
@@ -296,6 +270,17 @@ impl Chamulteon {
         };
 
         let mut controller = Chamulteon::new(model, config);
+        // `new` sizes every window from the (sanitized) config; a snapshot
+        // declaring any other capacity was not taken under this config.
+        let window = controller.config.demand_window.max(1);
+        if let Some(e) = snapshot.estimators.iter().find(|e| e.capacity != window) {
+            return Err(SnapshotError::Inconsistent {
+                message: format!(
+                    "estimator window capacity {} differs from the configured {window}",
+                    e.capacity
+                ),
+            });
+        }
         controller.demand_estimators = snapshot
             .estimators
             .iter()

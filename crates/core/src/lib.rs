@@ -77,8 +77,8 @@ pub mod vertical;
 
 pub use algorithm::proactive_decisions;
 pub use cluster::{
-    ArbitrationPolicy, ClusterArbiter, ClusterEvent, ClusterSnapshotError, TenantId, TenantLease,
-    TenantProposal, TenantVerdict, WarmLease, CLUSTER_SNAPSHOT_VERSION,
+    ArbitrationPolicy, ClusterArbiter, ClusterEvent, TenantId, TenantLease, TenantProposal,
+    TenantVerdict, WarmLease, CLUSTER_SNAPSHOT_VERSION,
 };
 pub use config::ChamulteonConfig;
 pub use controller::Chamulteon;

@@ -25,10 +25,6 @@
 //!
 //! # What is deliberately *not* captured
 //!
-//! * the **capacity cache** — a memo of pure Algorithm 1 inversions; the
-//!   cached path is pinned bit-identical to the exact path by the
-//!   `algorithm1` conformance oracle, so a cold cache changes latency,
-//!   never a decision;
 //! * the **forecaster** and **drift detector** — stateless beyond their
 //!   configuration, rebuilt from [`ChamulteonConfig`];
 //! * the **obs bundle** — instrumentation never changes a decision
@@ -37,27 +33,31 @@
 //!
 //! # Encoding
 //!
-//! The text form reuses the `chamulteon-obs` JSONL canonicalization
-//! idiom: one flat JSON object per line, keys in a fixed schema order,
-//! finite `f64`s rendered with Rust's shortest-round-trip `Display`
-//! (parse → re-render is the identity), non-finite values as `null`
-//! (read back as NaN), optional fields omitted — never `null` — and a
-//! hand-rolled tokenizer on the way back in, extended here with `f64` /
-//! `u32` arrays for history and lease vectors. The first line is a
-//! header carrying [`SNAPSHOT_VERSION`]; any other version is rejected
-//! with [`SnapshotError::UnsupportedVersion`] instead of being guessed
-//! at. Encoding is byte-stable: `encode ∘ decode ∘ encode` equals
-//! `encode`.
+//! The text form is one flat JSON object per line, written and read by
+//! the [`chamulteon_obs::json`] codec that also carries the JSONL traces:
+//! keys in a fixed schema order, finite `f64`s rendered with Rust's
+//! shortest-round-trip `Display` (parse → re-render is the identity),
+//! non-finite values as `null` (read back as NaN), optional fields
+//! omitted — never `null` — and `f64` / `u32` arrays for history and
+//! lease vectors. Decoding reads one line at a time and sizes nothing
+//! from a declared count before the records it counts have been read.
+//! The first line is a header carrying [`SNAPSHOT_VERSION`]; any other
+//! version is rejected with [`SnapshotError::UnsupportedVersion`] instead
+//! of being guessed at. The cluster arbiter's snapshot
+//! ([`ClusterArbiter::snapshot`]) uses the same records and the same
+//! header check. Encoding is byte-stable: `encode ∘ decode ∘ encode`
+//! equals `encode`.
 //!
 //! [`Chamulteon::snapshot`]: crate::controller::Chamulteon::snapshot
 //! [`Chamulteon::restore`]: crate::controller::Chamulteon::restore
 //! [`ChamulteonConfig`]: crate::config::ChamulteonConfig
+//! [`ClusterArbiter::snapshot`]: crate::cluster::ClusterArbiter::snapshot
 
 use crate::decision::{DecisionOrigin, ScalingDecision};
 use crate::degradation::{DegradationEvent, DegradationReason};
 use crate::fox::ChargingModel;
 use chamulteon_demand::MonitoringSample;
-use std::fmt::Write as _;
+use chamulteon_obs::json::{self, JsonError, Record, Writer};
 
 /// The schema version this build writes and the only one it restores.
 pub const SNAPSHOT_VERSION: u64 = 1;
@@ -158,10 +158,9 @@ pub enum SnapshotError {
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::UnsupportedVersion { found } => write!(
-                f,
-                "unsupported snapshot version {found} (this build speaks {SNAPSHOT_VERSION})"
-            ),
+            SnapshotError::UnsupportedVersion { found } => {
+                write!(f, "unsupported snapshot version {found}")
+            }
             SnapshotError::Malformed { line, message } => {
                 write!(f, "malformed snapshot at line {line}: {message}")
             }
@@ -174,444 +173,75 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-// --- canonical line writer (obs JSONL idiom + arrays) -------------------
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
+impl From<JsonError> for SnapshotError {
+    fn from(e: JsonError) -> Self {
+        SnapshotError::Malformed {
+            line: e.line,
+            message: format!("column {}: {}", e.column, e.message),
         }
-    }
-    out.push('"');
-}
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
     }
 }
 
-/// One canonical JSON object line: fixed key order, no whitespace,
-/// optional fields omitted.
-struct Line {
-    out: String,
-    first: bool,
+// --- records shared with the cluster arbiter's snapshot -----------------
+
+/// Appends one record line: `kind` first, then the members `fill` writes.
+pub(crate) fn write_record(out: &mut String, kind: &str, fill: impl FnOnce(&mut Writer<'_>)) {
+    let mut w = Writer::compact(out);
+    w.str("kind", kind);
+    fill(&mut w);
+    w.finish();
+    out.push('\n');
 }
 
-impl Line {
-    fn new(kind: &str) -> Self {
-        let mut line = Line {
-            out: String::from("{"),
-            first: true,
-        };
-        line.key("kind");
-        push_json_str(&mut line.out, kind);
-        line
+/// Reads the first record and checks it is the header of `schema` at
+/// `version`.
+pub(crate) fn read_header<'a>(
+    records: &mut impl Iterator<Item = Result<Record<'a>, JsonError>>,
+    schema: &str,
+    version: u64,
+) -> Result<Record<'a>, SnapshotError> {
+    let Some(header) = records.next() else {
+        return Err(SnapshotError::Malformed {
+            line: 1,
+            message: "empty snapshot".into(),
+        });
+    };
+    let header = header?;
+    if header.str("kind")? != "header" || header.str("schema")? != schema {
+        return Err(header.error(format!("expected a `{schema}` header")).into());
     }
-
-    fn key(&mut self, k: &str) {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        push_json_str(&mut self.out, k);
-        self.out.push(':');
+    let found = header.u64("version")?;
+    if found != version {
+        return Err(SnapshotError::UnsupportedVersion { found });
     }
-
-    fn str(&mut self, k: &str, v: &str) -> &mut Self {
-        self.key(k);
-        push_json_str(&mut self.out, v);
-        self
-    }
-
-    fn f64(&mut self, k: &str, v: f64) -> &mut Self {
-        self.key(k);
-        push_f64(&mut self.out, v);
-        self
-    }
-
-    fn opt_f64(&mut self, k: &str, v: Option<f64>) -> &mut Self {
-        if let Some(v) = v {
-            self.f64(k, v);
-        }
-        self
-    }
-
-    fn u64(&mut self, k: &str, v: u64) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
-    fn opt_u64(&mut self, k: &str, v: Option<u64>) -> &mut Self {
-        if let Some(v) = v {
-            self.u64(k, v);
-        }
-        self
-    }
-
-    fn usize(&mut self, k: &str, v: usize) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
-    fn u32(&mut self, k: &str, v: u32) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
-    fn opt_u32(&mut self, k: &str, v: Option<u32>) -> &mut Self {
-        if let Some(v) = v {
-            self.u32(k, v);
-        }
-        self
-    }
-
-    fn bool(&mut self, k: &str, v: bool) -> &mut Self {
-        self.key(k);
-        self.out.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    fn f64_array(&mut self, k: &str, vs: &[f64]) -> &mut Self {
-        self.key(k);
-        self.out.push('[');
-        for (i, &v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            push_f64(&mut self.out, v);
-        }
-        self.out.push(']');
-        self
-    }
-
-    fn u32_array(&mut self, k: &str, vs: &[u32]) -> &mut Self {
-        self.key(k);
-        self.out.push('[');
-        for (i, &v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            let _ = write!(self.out, "{v}");
-        }
-        self.out.push(']');
-        self
-    }
-
-    fn emit(mut self, out: &mut String) {
-        self.out.push('}');
-        out.push_str(&self.out);
-        out.push('\n');
-    }
+    Ok(header)
 }
 
-fn sample_line(kind: &str, service: usize, sample: &MonitoringSample) -> Line {
-    let mut line = Line::new(kind);
-    line.usize("service", service)
-        .f64("duration", sample.duration())
-        .u64("arrivals", sample.arrivals())
-        .opt_u64("completions", sample.explicit_completions())
-        .f64("utilization", sample.utilization())
-        .u32("instances", sample.instances())
-        .opt_f64("rt", sample.mean_response_time());
-    line
+fn write_sample(out: &mut String, kind: &str, service: usize, sample: &MonitoringSample) {
+    write_record(out, kind, |w| {
+        w.usize("service", service)
+            .f64("duration", sample.duration())
+            .u64("arrivals", sample.arrivals())
+            .opt_u64("completions", sample.explicit_completions())
+            .f64("utilization", sample.utilization())
+            .u32("instances", sample.instances())
+            .opt_f64("rt", sample.mean_response_time());
+    });
 }
 
-// --- tokenizer (obs JSONL idiom + arrays) -------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Str(String),
-    /// Numbers keep their raw text; typed getters parse on demand.
-    Num(String),
-    Bool(bool),
-    Null,
-    Arr(Vec<Val>),
-}
-
-struct Tokenizer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> Tokenizer<'a> {
-    fn new(text: &'a str) -> Self {
-        Tokenizer {
-            chars: text.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some(' ' | '\t')) {
-            self.chars.next();
-        }
-    }
-
-    fn consume(&mut self, expected: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.next() {
-            Some(c) if c == expected => Ok(()),
-            Some(c) => Err(format!("expected `{expected}`, found `{c}`")),
-            None => Err(format!("expected `{expected}`, found end of line")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.consume('"')?;
-        let mut s = String::new();
-        loop {
-            match self.chars.next() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(s),
-                Some('\\') => match self.chars.next() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('n') => s.push('\n'),
-                    Some('r') => s.push('\r'),
-                    Some('t') => s.push('\t'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16 + d.to_digit(16).ok_or("bad \\u escape digit")?;
-                        }
-                        s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                    }
-                    other => return Err(format!("bad escape: {other:?}")),
-                },
-                Some(c) => s.push(c),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, String> {
-        self.skip_ws();
-        match self.chars.peek() {
-            Some('"') => Ok(Val::Str(self.string()?)),
-            Some('t') => self.literal("true").map(|()| Val::Bool(true)),
-            Some('f') => self.literal("false").map(|()| Val::Bool(false)),
-            Some('n') => self.literal("null").map(|()| Val::Null),
-            Some('[') => {
-                self.chars.next();
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.chars.peek() == Some(&']') {
-                    self.chars.next();
-                    return Ok(Val::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.chars.next() {
-                        Some(',') => {}
-                        Some(']') => return Ok(Val::Arr(items)),
-                        other => return Err(format!("expected `,` or `]`, found {other:?}")),
-                    }
-                }
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut raw = String::new();
-                while let Some(&c) = self.chars.peek() {
-                    if c == '-'
-                        || c == '+'
-                        || c == '.'
-                        || c == 'e'
-                        || c == 'E'
-                        || c.is_ascii_digit()
-                    {
-                        raw.push(c);
-                        self.chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                Ok(Val::Num(raw))
-            }
-            other => Err(format!("unexpected value start: {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        for expected in lit.chars() {
-            match self.chars.next() {
-                Some(c) if c == expected => {}
-                other => return Err(format!("bad literal, expected `{lit}`, found {other:?}")),
-            }
-        }
-        Ok(())
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Val)>, String> {
-        self.consume('{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.chars.peek() == Some(&'}') {
-            self.chars.next();
-            return Ok(pairs);
-        }
-        loop {
-            let key = self.string()?;
-            self.consume(':')?;
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.chars.next() {
-                Some(',') => {}
-                Some('}') => return Ok(pairs),
-                other => return Err(format!("expected `,` or `}}`, found {other:?}")),
-            }
-        }
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.chars.peek().is_none()
-    }
-}
-
-/// Typed field access over one parsed object line.
-struct Fields {
-    pairs: Vec<(String, Val)>,
-}
-
-impl Fields {
-    fn get(&self, key: &str) -> Option<&Val> {
-        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn num<T: std::str::FromStr>(&self, key: &str, what: &str) -> Result<T, String> {
-        match self.get(key) {
-            Some(Val::Num(raw)) => raw
-                .parse()
-                .map_err(|_| format!("bad {what} `{key}`: {raw}")),
-            Some(other) => Err(format!("field `{key}` is not a {what}: {other:?}")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-
-    fn req_f64(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Val::Null) => Ok(f64::NAN),
-            _ => self.num(key, "number"),
-        }
-    }
-
-    fn opt_f64(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(Val::Null) => Ok(Some(f64::NAN)),
-            _ => self.num(key, "number").map(Some),
-        }
-    }
-
-    fn req_u64(&self, key: &str) -> Result<u64, String> {
-        self.num(key, "integer")
-    }
-
-    fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            _ => self.num(key, "integer").map(Some),
-        }
-    }
-
-    fn req_usize(&self, key: &str) -> Result<usize, String> {
-        self.num(key, "integer")
-    }
-
-    fn opt_usize(&self, key: &str) -> Result<Option<usize>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            _ => self.num(key, "integer").map(Some),
-        }
-    }
-
-    fn req_u32(&self, key: &str) -> Result<u32, String> {
-        self.num(key, "integer")
-    }
-
-    fn opt_u32(&self, key: &str) -> Result<Option<u32>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            _ => self.num(key, "integer").map(Some),
-        }
-    }
-
-    fn req_bool(&self, key: &str) -> Result<bool, String> {
-        match self.get(key) {
-            Some(Val::Bool(b)) => Ok(*b),
-            Some(other) => Err(format!("field `{key}` is not a bool: {other:?}")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-
-    fn req_str(&self, key: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(Val::Str(s)) => Ok(s.clone()),
-            Some(other) => Err(format!("field `{key}` is not a string: {other:?}")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-
-    fn f64_array(&self, key: &str) -> Result<Vec<f64>, String> {
-        match self.get(key) {
-            Some(Val::Arr(items)) => items
-                .iter()
-                .map(|v| match v {
-                    Val::Null => Ok(f64::NAN),
-                    Val::Num(raw) => raw
-                        .parse()
-                        .map_err(|_| format!("bad number in `{key}`: {raw}")),
-                    other => Err(format!("non-number in `{key}`: {other:?}")),
-                })
-                .collect(),
-            Some(other) => Err(format!("field `{key}` is not an array: {other:?}")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-
-    fn u32_array(&self, key: &str) -> Result<Vec<u32>, String> {
-        match self.get(key) {
-            Some(Val::Arr(items)) => items
-                .iter()
-                .map(|v| match v {
-                    Val::Num(raw) => raw
-                        .parse()
-                        .map_err(|_| format!("bad integer in `{key}`: {raw}")),
-                    other => Err(format!("non-integer in `{key}`: {other:?}")),
-                })
-                .collect(),
-            Some(other) => Err(format!("field `{key}` is not an array: {other:?}")),
-            None => Err(format!("missing field `{key}`")),
-        }
-    }
-
-    fn sample(&self) -> Result<MonitoringSample, String> {
-        let duration = self.req_f64("duration")?;
-        let arrivals = self.req_u64("arrivals")?;
-        let utilization = self.req_f64("utilization")?;
-        let instances = self.req_u32("instances")?;
-        let rt = self.opt_f64("rt")?;
-        let sample = MonitoringSample::new(duration, arrivals, utilization, instances, rt)
-            .map_err(|e| format!("invalid sample: {e}"))?;
-        Ok(match self.opt_u64("completions")? {
-            Some(completions) => sample.with_completions(completions),
-            None => sample,
-        })
-    }
+fn read_sample(rec: &Record<'_>) -> Result<MonitoringSample, JsonError> {
+    let sample = MonitoringSample::new(
+        rec.f64("duration")?,
+        rec.u64("arrivals")?,
+        rec.f64("utilization")?,
+        rec.u32("instances")?,
+        rec.opt_f64("rt")?,
+    )
+    .map_err(|e| rec.error(format!("invalid sample: {e}")))?;
+    Ok(match rec.opt_u64("completions")? {
+        Some(completions) => sample.with_completions(completions),
+        None => sample,
+    })
 }
 
 // --- encode / decode ----------------------------------------------------
@@ -622,103 +252,102 @@ impl ControllerSnapshot {
     /// Byte-stable: decoding and re-encoding reproduces the exact bytes.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        {
-            let mut line = Line::new("header");
-            line.str("schema", SNAPSHOT_SCHEMA)
+        write_record(&mut out, "header", |w| {
+            w.str("schema", SNAPSHOT_SCHEMA)
                 .u64("version", SNAPSHOT_VERSION)
                 .usize("services", self.services)
                 .u64("ticks", self.ticks)
                 .u64("forecast_generation", self.forecast_generation)
                 .u64("forecasts_made", self.forecasts_made);
-            line.emit(&mut out);
-        }
+        });
         for (service, est) in self.estimators.iter().enumerate() {
-            let mut line = Line::new("estimator");
-            line.usize("service", service)
-                .usize("capacity", est.capacity)
-                .f64("smoothing", est.smoothing)
-                .f64("current", est.current)
-                .bool("initialized", est.initialized);
-            line.emit(&mut out);
+            write_record(&mut out, "estimator", |w| {
+                w.usize("service", service)
+                    .usize("capacity", est.capacity)
+                    .f64("smoothing", est.smoothing)
+                    .f64("current", est.current)
+                    .bool("initialized", est.initialized);
+            });
             for sample in &est.window {
-                sample_line("window_sample", service, sample).emit(&mut out);
+                write_sample(&mut out, "window_sample", service, sample);
             }
         }
         if let Some(history) = &self.entry_history {
-            let mut line = Line::new("entry_history");
-            line.f64("step", history.step)
-                .f64("start", history.start)
-                .f64_array("values", &history.values);
-            line.emit(&mut out);
+            write_record(&mut out, "entry_history", |w| {
+                w.f64("step", history.step)
+                    .f64("start", history.start)
+                    .f64_array("values", &history.values);
+            });
         }
         if let Some(forecast) = &self.active_forecast {
-            let mut line = Line::new("active_forecast");
-            line.usize("made_at", forecast.made_at)
-                .u64("generation", forecast.generation)
-                .bool("trusted", forecast.trusted)
-                .f64_array("values", &forecast.values);
-            line.emit(&mut out);
+            write_record(&mut out, "active_forecast", |w| {
+                w.usize("made_at", forecast.made_at)
+                    .u64("generation", forecast.generation)
+                    .bool("trusted", forecast.trusted)
+                    .f64_array("values", &forecast.values);
+            });
         }
         for decision in &self.decisions {
-            let mut line = Line::new("decision");
-            line.usize("service", decision.service)
-                .u32("target", decision.target)
-                .f64("start", decision.start)
-                .f64("end", decision.end);
-            if let DecisionOrigin::Proactive {
-                generation,
-                trusted,
-            } = decision.origin
-            {
-                line.u64("generation", generation).bool("trusted", trusted);
-            }
-            line.emit(&mut out);
+            write_record(&mut out, "decision", |w| {
+                w.usize("service", decision.service)
+                    .u32("target", decision.target)
+                    .f64("start", decision.start)
+                    .f64("end", decision.end);
+                if let DecisionOrigin::Proactive {
+                    generation,
+                    trusted,
+                } = decision.origin
+                {
+                    w.u64("generation", generation).bool("trusted", trusted);
+                }
+            });
         }
         if let Some(fox) = &self.fox {
-            let mut line = Line::new("fox");
-            line.str("model", &fox.model.name)
-                .f64("interval", fox.model.interval)
-                .f64("minimum", fox.model.minimum)
-                .f64("release_window", fox.release_window)
-                .f64("billed_released", fox.billed_released);
-            line.emit(&mut out);
+            write_record(&mut out, "fox", |w| {
+                w.str("model", &fox.model.name)
+                    .f64("interval", fox.model.interval)
+                    .f64("minimum", fox.model.minimum)
+                    .f64("release_window", fox.release_window)
+                    .f64("billed_released", fox.billed_released);
+            });
             for (service, starts) in fox.leases.iter().enumerate() {
-                let mut line = Line::new("fox_leases");
-                line.usize("service", service).f64_array("starts", starts);
-                line.emit(&mut out);
+                write_record(&mut out, "fox_leases", |w| {
+                    w.usize("service", service).f64_array("starts", starts);
+                });
             }
         }
         for (service, &(last_rate, streak)) in self.spike_gates.iter().enumerate() {
-            let mut line = Line::new("spike_gate");
-            line.usize("service", service)
-                .opt_f64("last_rate", last_rate)
-                .u32("streak", streak);
-            line.emit(&mut out);
+            write_record(&mut out, "spike_gate", |w| {
+                w.usize("service", service)
+                    .opt_f64("last_rate", last_rate)
+                    .u32("streak", streak);
+            });
         }
         for (service, sample) in self.last_good_samples.iter().enumerate() {
             if let Some(sample) = sample {
-                sample_line("held_sample", service, sample).emit(&mut out);
+                write_sample(&mut out, "held_sample", service, sample);
             }
         }
         if let Some(targets) = &self.last_targets {
-            let mut line = Line::new("last_targets");
-            line.u32_array("targets", targets);
-            line.emit(&mut out);
+            write_record(&mut out, "last_targets", |w| {
+                w.u32_array("targets", targets);
+            });
         }
         for event in &self.degradation {
-            let mut line = Line::new("degradation");
-            line.f64("time", event.time)
-                .str("code", event.reason.as_code());
-            if let Some(service) = event.reason.service() {
-                line.usize("service", service);
-            }
-            line.opt_u32("attempt", event.reason.attempt());
-            line.emit(&mut out);
+            write_record(&mut out, "degradation", |w| {
+                w.f64("time", event.time)
+                    .str("code", event.reason.as_code());
+                if let Some(service) = event.reason.service() {
+                    w.usize("service", service);
+                }
+                w.opt_u32("attempt", event.reason.attempt());
+            });
         }
         out
     }
 
-    /// Parses a snapshot from its canonical text form.
+    /// Parses a snapshot from its canonical text form, one line at a
+    /// time.
     ///
     /// # Errors
     ///
@@ -726,294 +355,164 @@ impl ControllerSnapshot {
     /// schema version other than [`SNAPSHOT_VERSION`];
     /// [`SnapshotError::Malformed`] for anything that is not a
     /// well-formed snapshot document (bad JSON, unknown record or field
-    /// kinds, missing sections, out-of-range service indices).
+    /// kinds, out-of-order or out-of-range service indices);
+    /// [`SnapshotError::Inconsistent`] when the per-service sections
+    /// disagree with the header's service count.
     pub fn decode(text: &str) -> Result<Self, SnapshotError> {
-        let malformed = |line: usize, message: String| SnapshotError::Malformed { line, message };
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-
-        // Header first.
-        let (header_idx, header_line) = lines
-            .next()
-            .ok_or_else(|| malformed(1, "empty snapshot".into()))?;
-        let header = parse_fields(header_line).map_err(|m| malformed(header_idx + 1, m))?;
-        let kind = header
-            .req_str("kind")
-            .map_err(|m| malformed(header_idx + 1, m))?;
-        if kind != "header" {
-            return Err(malformed(
-                header_idx + 1,
-                format!("expected header line, found `{kind}`"),
-            ));
-        }
-        let schema = header
-            .req_str("schema")
-            .map_err(|m| malformed(header_idx + 1, m))?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(malformed(
-                header_idx + 1,
-                format!("unknown schema `{schema}`"),
-            ));
-        }
-        let version = header
-            .req_u64("version")
-            .map_err(|m| malformed(header_idx + 1, m))?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion { found: version });
-        }
-        let services = header
-            .req_usize("services")
-            .map_err(|m| malformed(header_idx + 1, m))?;
-
+        let mut records = json::records(text);
+        let header = read_header(&mut records, SNAPSHOT_SCHEMA, SNAPSHOT_VERSION)?;
+        let services = header.usize("services")?;
         let mut snapshot = ControllerSnapshot {
             services,
-            ticks: header
-                .req_u64("ticks")
-                .map_err(|m| malformed(header_idx + 1, m))?,
-            forecast_generation: header
-                .req_u64("forecast_generation")
-                .map_err(|m| malformed(header_idx + 1, m))?,
-            forecasts_made: header
-                .req_u64("forecasts_made")
-                .map_err(|m| malformed(header_idx + 1, m))?,
-            estimators: Vec::with_capacity(services),
+            ticks: header.u64("ticks")?,
+            forecast_generation: header.u64("forecast_generation")?,
+            forecasts_made: header.u64("forecasts_made")?,
+            estimators: Vec::new(),
             entry_history: None,
             active_forecast: None,
             decisions: Vec::new(),
             fox: None,
-            spike_gates: Vec::with_capacity(services),
-            last_good_samples: vec![None; services],
+            spike_gates: Vec::new(),
+            last_good_samples: Vec::new(),
             last_targets: None,
             degradation: Vec::new(),
         };
+        // Held samples are sparse; they are placed once the estimator
+        // records have shown the declared service count is real.
+        let mut held = Vec::new();
+        let in_range = |rec: &Record<'_>| -> Result<usize, JsonError> {
+            match rec.usize("service")? {
+                s if s < services => Ok(s),
+                s => Err(rec.error(format!("service {s} out of range (services: {services})"))),
+            }
+        };
+        // Sections with one record per service come in service order.
+        let in_order = |rec: &Record<'_>, expected: usize| -> Result<(), JsonError> {
+            match in_range(rec)? {
+                s if s == expected => Ok(()),
+                s => Err(rec.error(format!("service {s} out of order (expected {expected})"))),
+            }
+        };
 
-        for (idx, raw) in lines {
-            let line_no = idx + 1;
-            let fields = parse_fields(raw).map_err(|m| malformed(line_no, m))?;
-            let kind = fields.req_str("kind").map_err(|m| malformed(line_no, m))?;
-            let service_in_range = |fields: &Fields| -> Result<usize, SnapshotError> {
-                let service = fields
-                    .req_usize("service")
-                    .map_err(|m| malformed(line_no, m))?;
-                if service >= services {
-                    return Err(malformed(
-                        line_no,
-                        format!("service {service} out of range (services: {services})"),
-                    ));
-                }
-                Ok(service)
-            };
-            match kind.as_str() {
+        for rec in records {
+            let rec = rec?;
+            match rec.str("kind")? {
                 "estimator" => {
-                    let service = service_in_range(&fields)?;
-                    if service != snapshot.estimators.len() {
-                        return Err(malformed(
-                            line_no,
-                            format!(
-                                "estimator for service {service} out of order (expected {})",
-                                snapshot.estimators.len()
-                            ),
-                        ));
-                    }
+                    in_order(&rec, snapshot.estimators.len())?;
                     snapshot.estimators.push(EstimatorState {
-                        capacity: fields
-                            .req_usize("capacity")
-                            .map_err(|m| malformed(line_no, m))?,
-                        smoothing: fields
-                            .req_f64("smoothing")
-                            .map_err(|m| malformed(line_no, m))?,
-                        current: fields
-                            .req_f64("current")
-                            .map_err(|m| malformed(line_no, m))?,
-                        initialized: fields
-                            .req_bool("initialized")
-                            .map_err(|m| malformed(line_no, m))?,
+                        capacity: rec.usize("capacity")?,
+                        smoothing: rec.f64("smoothing")?,
+                        current: rec.f64("current")?,
+                        initialized: rec.bool("initialized")?,
                         window: Vec::new(),
                     });
                 }
                 "window_sample" => {
-                    let service = service_in_range(&fields)?;
-                    let sample = fields.sample().map_err(|m| malformed(line_no, m))?;
-                    match snapshot.estimators.get_mut(service) {
-                        Some(est) => est.window.push(sample),
-                        None => {
-                            return Err(malformed(
-                                line_no,
-                                format!("window sample before estimator for service {service}"),
-                            ))
-                        }
-                    }
+                    let service = in_range(&rec)?;
+                    let sample = read_sample(&rec)?;
+                    let before = || rec.error(format!("window sample before estimator {service}"));
+                    let est = snapshot.estimators.get_mut(service).ok_or_else(before)?;
+                    est.window.push(sample);
                 }
                 "entry_history" => {
                     snapshot.entry_history = Some(HistoryState {
-                        step: fields.req_f64("step").map_err(|m| malformed(line_no, m))?,
-                        start: fields.req_f64("start").map_err(|m| malformed(line_no, m))?,
-                        values: fields
-                            .f64_array("values")
-                            .map_err(|m| malformed(line_no, m))?,
+                        step: rec.f64("step")?,
+                        start: rec.f64("start")?,
+                        values: rec.f64_array("values")?,
                     });
                 }
                 "active_forecast" => {
                     snapshot.active_forecast = Some(ForecastState {
-                        made_at: fields
-                            .req_usize("made_at")
-                            .map_err(|m| malformed(line_no, m))?,
-                        generation: fields
-                            .req_u64("generation")
-                            .map_err(|m| malformed(line_no, m))?,
-                        trusted: fields
-                            .req_bool("trusted")
-                            .map_err(|m| malformed(line_no, m))?,
-                        values: fields
-                            .f64_array("values")
-                            .map_err(|m| malformed(line_no, m))?,
+                        made_at: rec.usize("made_at")?,
+                        generation: rec.u64("generation")?,
+                        trusted: rec.bool("trusted")?,
+                        values: rec.f64_array("values")?,
                     });
                 }
                 "decision" => {
-                    let service = service_in_range(&fields)?;
-                    let generation = fields
-                        .opt_u64("generation")
-                        .map_err(|m| malformed(line_no, m))?;
-                    let origin = match generation {
+                    let origin = match rec.opt_u64("generation")? {
                         Some(generation) => DecisionOrigin::Proactive {
                             generation,
-                            trusted: fields
-                                .req_bool("trusted")
-                                .map_err(|m| malformed(line_no, m))?,
+                            trusted: rec.bool("trusted")?,
                         },
                         None => DecisionOrigin::Reactive,
                     };
                     snapshot.decisions.push(ScalingDecision {
-                        service,
-                        target: fields
-                            .req_u32("target")
-                            .map_err(|m| malformed(line_no, m))?,
-                        start: fields.req_f64("start").map_err(|m| malformed(line_no, m))?,
-                        end: fields.req_f64("end").map_err(|m| malformed(line_no, m))?,
+                        service: in_range(&rec)?,
+                        target: rec.u32("target")?,
+                        start: rec.f64("start")?,
+                        end: rec.f64("end")?,
                         origin,
                     });
                 }
                 "fox" => {
                     snapshot.fox = Some(FoxState {
                         model: ChargingModel {
-                            name: fields.req_str("model").map_err(|m| malformed(line_no, m))?,
-                            interval: fields
-                                .req_f64("interval")
-                                .map_err(|m| malformed(line_no, m))?,
-                            minimum: fields
-                                .req_f64("minimum")
-                                .map_err(|m| malformed(line_no, m))?,
+                            name: rec.str("model")?.to_owned(),
+                            interval: rec.f64("interval")?,
+                            minimum: rec.f64("minimum")?,
                         },
-                        release_window: fields
-                            .req_f64("release_window")
-                            .map_err(|m| malformed(line_no, m))?,
-                        billed_released: fields
-                            .req_f64("billed_released")
-                            .map_err(|m| malformed(line_no, m))?,
-                        leases: vec![Vec::new(); services],
+                        release_window: rec.f64("release_window")?,
+                        billed_released: rec.f64("billed_released")?,
+                        leases: Vec::new(),
                     });
                 }
                 "fox_leases" => {
-                    let service = service_in_range(&fields)?;
-                    let starts = fields
-                        .f64_array("starts")
-                        .map_err(|m| malformed(line_no, m))?;
-                    match snapshot.fox.as_mut() {
-                        Some(fox) => fox.leases[service] = starts,
-                        None => {
-                            return Err(malformed(line_no, "fox_leases before fox".into()));
-                        }
-                    }
+                    let Some(fox) = snapshot.fox.as_mut() else {
+                        return Err(rec.error("fox_leases before fox").into());
+                    };
+                    in_order(&rec, fox.leases.len())?;
+                    fox.leases.push(rec.f64_array("starts")?);
                 }
                 "spike_gate" => {
-                    let service = service_in_range(&fields)?;
-                    if service != snapshot.spike_gates.len() {
-                        return Err(malformed(
-                            line_no,
-                            format!(
-                                "spike_gate for service {service} out of order (expected {})",
-                                snapshot.spike_gates.len()
-                            ),
-                        ));
-                    }
-                    snapshot.spike_gates.push((
-                        fields
-                            .opt_f64("last_rate")
-                            .map_err(|m| malformed(line_no, m))?,
-                        fields
-                            .req_u32("streak")
-                            .map_err(|m| malformed(line_no, m))?,
-                    ));
+                    in_order(&rec, snapshot.spike_gates.len())?;
+                    snapshot
+                        .spike_gates
+                        .push((rec.opt_f64("last_rate")?, rec.u32("streak")?));
                 }
-                "held_sample" => {
-                    let service = service_in_range(&fields)?;
-                    let sample = fields.sample().map_err(|m| malformed(line_no, m))?;
-                    snapshot.last_good_samples[service] = Some(sample);
-                }
-                "last_targets" => {
-                    snapshot.last_targets = Some(
-                        fields
-                            .u32_array("targets")
-                            .map_err(|m| malformed(line_no, m))?,
-                    );
-                }
+                "held_sample" => held.push((in_range(&rec)?, read_sample(&rec)?)),
+                "last_targets" => snapshot.last_targets = Some(rec.u32_array("targets")?),
                 "degradation" => {
-                    let time = fields.req_f64("time").map_err(|m| malformed(line_no, m))?;
-                    let code = fields.req_str("code").map_err(|m| malformed(line_no, m))?;
-                    let service = fields
-                        .opt_usize("service")
-                        .map_err(|m| malformed(line_no, m))?;
-                    let attempt = fields
-                        .opt_u32("attempt")
-                        .map_err(|m| malformed(line_no, m))?;
-                    let reason = DegradationReason::from_parts(&code, service, attempt)
-                        .ok_or_else(|| {
-                            malformed(line_no, format!("unknown degradation code `{code}`"))
-                        })?;
-                    snapshot.degradation.push(DegradationEvent { time, reason });
+                    let code = rec.str("code")?;
+                    let reason = DegradationReason::from_parts(
+                        code,
+                        rec.opt_usize("service")?,
+                        rec.opt_u32("attempt")?,
+                    )
+                    .ok_or_else(|| rec.error(format!("unknown degradation code `{code}`")))?;
+                    snapshot.degradation.push(DegradationEvent {
+                        time: rec.f64("time")?,
+                        reason,
+                    });
                 }
                 other => {
-                    return Err(malformed(line_no, format!("unknown record kind `{other}`")));
+                    return Err(rec.error(format!("unknown record kind `{other}`")).into());
                 }
             }
         }
 
-        if snapshot.estimators.len() != services {
-            return Err(SnapshotError::Inconsistent {
-                message: format!(
-                    "{} estimator records for {services} services",
-                    snapshot.estimators.len()
-                ),
-            });
-        }
-        if snapshot.spike_gates.len() != services {
-            return Err(SnapshotError::Inconsistent {
-                message: format!(
-                    "{} spike_gate records for {services} services",
-                    snapshot.spike_gates.len()
-                ),
-            });
+        let per_service = |what: &str, len: usize| -> Result<(), SnapshotError> {
+            if len == services {
+                return Ok(());
+            }
+            Err(SnapshotError::Inconsistent {
+                message: format!("{len} {what} records for {services} services"),
+            })
+        };
+        per_service("estimator", snapshot.estimators.len())?;
+        per_service("spike_gate", snapshot.spike_gates.len())?;
+        if let Some(fox) = &snapshot.fox {
+            per_service("fox_leases", fox.leases.len())?;
         }
         if let Some(targets) = &snapshot.last_targets {
-            if targets.len() != services {
-                return Err(SnapshotError::Inconsistent {
-                    message: format!("{} last targets for {services} services", targets.len()),
-                });
-            }
+            per_service("last target", targets.len())?;
+        }
+        snapshot.last_good_samples = vec![None; services];
+        for (service, sample) in held {
+            snapshot.last_good_samples[service] = Some(sample);
         }
         Ok(snapshot)
     }
-}
-
-fn parse_fields(raw: &str) -> Result<Fields, String> {
-    let mut tokenizer = Tokenizer::new(raw);
-    let pairs = tokenizer.object()?;
-    if !tokenizer.at_end() {
-        return Err("trailing characters after object".into());
-    }
-    Ok(Fields { pairs })
 }
 
 #[cfg(test)]
@@ -1160,6 +659,42 @@ mod tests {
         );
         assert!(matches!(
             ControllerSnapshot::decode(&shifted),
+            Err(SnapshotError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn declared_counts_size_nothing_before_their_records() {
+        // One header line declaring 10^15 services: no estimator records
+        // follow, so the count is never trusted with an allocation.
+        let header = "{\"kind\":\"header\",\"schema\":\"chamulteon-snapshot\",\"version\":1,\
+                      \"services\":1000000000000000,\"ticks\":0,\"forecast_generation\":0,\
+                      \"forecasts_made\":0}\n";
+        assert!(matches!(
+            ControllerSnapshot::decode(header),
+            Err(SnapshotError::Inconsistent { .. })
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_a_foreign_window_capacity() {
+        let good = controller_with_state().snapshot().encode();
+        let huge = good.replacen("\"capacity\":5", "\"capacity\":1000000000000000", 1);
+        let decoded = ControllerSnapshot::decode(&huge).expect("capacity is well-formed");
+        let model = ApplicationModel::paper_benchmark();
+        assert!(matches!(
+            Chamulteon::restore(model, ChamulteonConfig::default(), &decoded),
+            Err(SnapshotError::Inconsistent { .. })
+        ));
+    }
+
+    #[test]
+    fn decode_rejects_floats_that_overflow_to_infinity() {
+        let good = controller_with_state().snapshot().encode();
+        let overflow = good.replacen("\"smoothing\":0.4", "\"smoothing\":1e400", 1);
+        assert_ne!(overflow, good);
+        assert!(matches!(
+            ControllerSnapshot::decode(&overflow),
             Err(SnapshotError::Malformed { .. })
         ));
     }

@@ -13,8 +13,10 @@
 //! * **Metrics** ([`metrics`]): a [`MetricsRegistry`] of counters,
 //!   gauges and log-bucketed histograms with a plain-text snapshot,
 //!   plus a [`PhaseTimer`] for per-phase wall-clock.
-//! * **Export** ([`jsonl`]): a canonical JSONL serialization of traces
-//!   where emit → parse → re-emit is the identity.
+//! * **Export** ([`json`], [`jsonl`]): the workspace's one JSON codec —
+//!   a streaming writer and a strict parser shared by every text format —
+//!   and the canonical JSONL serialization of traces built on it, where
+//!   emit → parse → re-emit is the identity.
 //!
 //! Everything defaults to *off*: [`Obs::default`] carries no recorder
 //! and a disabled registry, so the instrumented hot paths pay one branch
@@ -24,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
+pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod recorder;
@@ -31,7 +34,7 @@ pub mod recorder;
 pub use event::{
     ActuationOutcome, Event, EventKind, Provenance, Sizing, WarmAction, Winner, EVENT_KIND_CODES,
 };
-pub use jsonl::JsonlError;
+pub use json::JsonError;
 pub use metrics::{Counter, Histogram, MetricsRegistry, PhaseTimer, DISABLED_METRICS};
 pub use recorder::{NoopRecorder, Recorder, RecorderHandle, RingRecorder};
 

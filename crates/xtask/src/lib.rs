@@ -68,8 +68,9 @@ pub const DECISION_PATH_CRATES: &[&str] = &[
 /// harness is mostly layer-4 plumbing, but its measurement loop executes
 /// scaling decisions — under injected faults — so the fault-path files
 /// carry the same panic-freedom bar R1 applies to the decision-path
-/// crates. The snapshot codec and the recovery oracle are listed even
-/// though their crates are already covered by [`DECISION_PATH_CRATES`]:
+/// crates. The snapshot codec, the JSON codec it reads through and the
+/// recovery oracle are listed even though their crates are already
+/// covered by [`DECISION_PATH_CRATES`]:
 /// crash recovery runs exactly when the system is least healthy, so
 /// these pins survive any future re-layering of the crate list. The
 /// simulation engine (`sim/src/{engine,event,fluid,station}.rs`) and its
@@ -90,6 +91,7 @@ pub const DECISION_PATH_MODULES: &[&str] = &[
     "conformance/src/recovery.rs",
     "core/src/cluster.rs",
     "core/src/snapshot.rs",
+    "obs/src/json.rs",
     "perfmodel/src/arena.rs",
     "perfmodel/src/topology.rs",
     "sim/src/engine.rs",
