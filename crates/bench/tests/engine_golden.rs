@@ -8,8 +8,8 @@
 //!
 //! * `run_experiment` for each lineup scaler on the smoke setup, and
 //!   Chamulteon on Tables III–V,
-//! * the evaluation grid on the smoke setup (which forks every fault
-//!   class from a clean checkpoint for every scaler),
+//! * the evaluation grid on the smoke setup: the lineup plus the
+//!   clean-vs-faulted robustness lineup under every fault class,
 //! * a checkpoint-recovered run under controller crashes,
 //! * the multi-tenant smoke scenario under each arbitration policy,
 //! * the simulator-only paths: the nested VM pool driven by a reactive
@@ -28,7 +28,7 @@ use chamulteon::{ArbitrationPolicy, Chamulteon, ChamulteonConfig, NestedPlanner,
 use chamulteon_bench::robustness::FaultClass;
 use chamulteon_bench::setups::{bibsonomy_large, bibsonomy_small, smoke_test, wikipedia_vm};
 use chamulteon_bench::{
-    evaluation_grid, run_des_scale_case, run_experiment, run_experiment_recovered,
+    robustness_lineup, run_des_scale_case, run_experiment, run_experiment_recovered, run_lineup,
     run_multi_tenant, DesScaleCase, MultiTenantSpec, ScalerKind,
 };
 use chamulteon_demand::MonitoringSample;
@@ -94,8 +94,21 @@ fn chamulteon_on_tables_three_to_five_reproduces_its_digests() {
 
 #[test]
 fn evaluation_grid_reproduces_its_digest() {
-    let grid = evaluation_grid(&smoke_test(), &RetryPolicy::default(), 2);
-    let got = digest_debug(&grid);
+    // The text the former `EvaluationGrid`'s derived `Debug` printed: the
+    // lineup reports, then one robustness lineup per fault class.
+    let spec = smoke_test();
+    let retry = RetryPolicy::default();
+    let robustness: Vec<_> = FaultClass::ALL
+        .iter()
+        .map(|&class| robustness_lineup(&spec, class, &retry))
+        .collect();
+    let text = format!(
+        "EvaluationGrid {{ lineup: {:?}, robustness: {:?} }}",
+        run_lineup(&spec),
+        robustness
+    );
+    let mut got = FNV_OFFSET;
+    fnv_bytes(&mut got, text.as_bytes());
     assert_eq!(
         got, 0xa8e8_769f_cb2a_8d87,
         "grid digest changed: {got:#018x}"
