@@ -116,12 +116,6 @@ fn observation_from(observed: Option<&ObservedSample>, provisioned: u32) -> Obse
 }
 
 /// A running scaler instance bound to an experiment.
-///
-/// `Clone` snapshots the complete scaler state (controller caches,
-/// demand-estimator windows, degradation records), which is what lets the
-/// experiment harness checkpoint a run and fork faulted continuations
-/// from it.
-#[derive(Clone)]
 pub(crate) enum Driver {
     Chamulteon(Box<chamulteon::Chamulteon>),
     Independent {

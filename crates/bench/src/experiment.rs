@@ -95,8 +95,7 @@ pub fn run_experiment_with_faults(
     fault_plan: Option<FaultPlan>,
     retry: &RetryPolicy,
 ) -> FaultedOutcome {
-    let cache = CapacityCache::new();
-    run_experiment_with_faults_cached(spec, kind, fault_plan, retry, &cache)
+    finalize_run(init_run(spec, kind, fault_plan), spec, retry)
 }
 
 /// Like [`run_experiment_with_faults`], but with a [`RecoveryPolicy`]
@@ -117,10 +116,9 @@ pub fn run_experiment_recovered(
     retry: &RetryPolicy,
     recovery: RecoveryPolicy,
 ) -> FaultedOutcome {
-    let cache = CapacityCache::new();
     let mut state = init_run(spec, kind, fault_plan);
     state.recovery = recovery;
-    finalize_run(state, spec, retry, &cache)
+    finalize_run(state, spec, retry)
 }
 
 /// [`run_experiment_with_faults`] with a trace/metrics sink attached:
@@ -136,36 +134,13 @@ pub fn run_experiment_observed(
     retry: &RetryPolicy,
     obs: &Obs,
 ) -> FaultedOutcome {
-    let cache = CapacityCache::new();
-    finalize_run(
-        init_run_observed(spec, kind, fault_plan, obs),
-        spec,
-        retry,
-        &cache,
-    )
+    finalize_run(init_run_observed(spec, kind, fault_plan, obs), spec, retry)
 }
 
-/// [`run_experiment_with_faults`] scoring its demand curves through the
-/// given capacity cache, so grid runners can share one warm cache across
-/// many runs of the same spec. Results are independent of cache sharing:
-/// every cached lookup evaluates the solver at the quantization-bucket
-/// corner, a pure function of the inputs.
-pub(crate) fn run_experiment_with_faults_cached(
-    spec: &ExperimentSpec,
-    kind: ScalerKind,
-    fault_plan: Option<FaultPlan>,
-    retry: &RetryPolicy,
-    cache: &CapacityCache,
-) -> FaultedOutcome {
-    finalize_run(init_run(spec, kind, fault_plan), spec, retry, cache)
-}
-
-/// A benchmark run paused between scaling intervals: the simulation, the
-/// scaler driver, the harness's degradation record and the next interval
-/// index. Cloning a `RunState` is a checkpoint — the robustness grid runs
-/// the clean prefix once, clones it, and forks each faulted variant from
-/// the clone instead of replaying the prefix from scratch.
-#[derive(Clone)]
+/// A measurement run paused between scaling intervals: the simulation,
+/// the scaler driver, the harness's degradation record and the next
+/// interval index. [`advance_run`] moves it forward through a chosen
+/// interval; [`finalize_run`] runs it to the end and scores it.
 pub(crate) struct RunState {
     sim: Simulation,
     driver: Driver,
@@ -190,26 +165,6 @@ pub(crate) struct RunState {
 /// Number of scaling intervals a spec's measurement loop processes.
 pub(crate) fn interval_count(spec: &ExperimentSpec) -> usize {
     (spec.trace.duration() / spec.scaling_interval).ceil() as usize
-}
-
-/// The latest interval index `k` whose boundary `k·Δ` lies strictly
-/// before the fault windows' opening time `0.25·D` — the checkpoint from
-/// which a faulted run can be forked bit-identically.
-pub(crate) fn checkpoint_interval(spec: &ExperimentSpec) -> usize {
-    let start = 0.25 * spec.trace.duration();
-    let delta = spec.scaling_interval;
-    if !(delta > 0.0) || !(start > 0.0) {
-        return 0;
-    }
-    let mut k = (start / delta).floor() as usize;
-    while k > 0 && k as f64 * delta >= start {
-        k -= 1;
-    }
-    if k as f64 * delta >= start {
-        0
-    } else {
-        k
-    }
 }
 
 /// Builds the simulation, initial placement, driver and warmup history —
@@ -277,26 +232,6 @@ pub(crate) fn init_run_observed(
         recovery: RecoveryPolicy::ColdRestart,
         checkpoint: None,
     }
-}
-
-/// Forks a checkpointed clean run into a faulted continuation: the
-/// simulation is forked under the plan (bit-identical to a from-scratch
-/// faulted run, see [`Simulation::fork_with_fault_plan`]) and the driver
-/// and harness log are cloned. `None` when the fork preconditions do not
-/// hold (checkpoint at or past the window opening) — callers fall back to
-/// a from-scratch run.
-pub(crate) fn fork_run(state: &RunState, plan: FaultPlan) -> Option<RunState> {
-    let sim = state.sim.fork_with_fault_plan(plan).ok()?;
-    Some(RunState {
-        sim,
-        driver: state.driver.clone(),
-        kind: state.kind,
-        harness_log: state.harness_log.clone(),
-        obs: state.obs.clone(),
-        next_k: state.next_k,
-        recovery: state.recovery,
-        checkpoint: state.checkpoint.clone(),
-    })
 }
 
 /// Advances the measurement loop up to and including interval
@@ -476,14 +411,12 @@ pub(crate) fn advance_run(
 }
 
 /// Runs any remaining intervals, drains the simulation to the end of the
-/// trace and scores the outcome. Demand curves are derived through
-/// `cache`, so repeated scoring of the same spec reuses the capacity
-/// solves.
+/// trace and scores the outcome. Demand curves are derived through a
+/// fresh capacity cache per run.
 pub(crate) fn finalize_run(
     mut state: RunState,
     spec: &ExperimentSpec,
     retry: &RetryPolicy,
-    cache: &CapacityCache,
 ) -> FaultedOutcome {
     advance_run(&mut state, spec, retry, usize::MAX - 1);
     let RunState {
@@ -534,7 +467,7 @@ pub(crate) fn finalize_run(
         .max()
         .unwrap_or(200);
     let demand = demand_curves_with_cache(
-        cache,
+        &CapacityCache::new(),
         &spec.trace,
         &nominal,
         &visit_ratios,
@@ -589,25 +522,15 @@ mod tests {
     use crate::setups::smoke_test;
 
     #[test]
-    fn checkpoint_interval_is_strictly_before_fault_windows() {
-        let spec = smoke_test();
-        let k = checkpoint_interval(&spec);
-        let start = 0.25 * spec.trace.duration();
-        assert!((k as f64) * spec.scaling_interval < start, "k = {k}");
-        assert!(((k + 1) as f64) * spec.scaling_interval >= start, "k = {k}");
-    }
-
-    #[test]
     fn split_run_matches_single_pass() {
         // Advancing in two arbitrary chunks and finalizing is identical to
         // the one-shot runner.
         let spec = smoke_test();
         let retry = chamulteon::RetryPolicy::default();
-        let cache = CapacityCache::new();
         let mut state = init_run(&spec, ScalerKind::Adapt, None);
         advance_run(&mut state, &spec, &retry, 3);
         advance_run(&mut state, &spec, &retry, 11);
-        let split = finalize_run(state, &spec, &retry, &cache);
+        let split = finalize_run(state, &spec, &retry);
         let single = run_experiment_with_faults(&spec, ScalerKind::Adapt, None, &retry);
         assert_eq!(split.outcome.result, single.outcome.result);
         assert_eq!(split.outcome.report, single.outcome.report);

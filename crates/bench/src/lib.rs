@@ -64,7 +64,6 @@ pub use multi_tenant::{run_multi_tenant, MultiTenantOutcome, MultiTenantSpec, Te
 pub use paper::{run_lineup, run_lineup_seq, run_lineup_with_threads};
 pub use pool::{default_threads, parallel_map};
 pub use robustness::{
-    evaluation_grid, evaluation_grid_seq, robustness_lineup, robustness_lineup_seq,
-    robustness_lineup_with_threads, robustness_report, robustness_report_recovered, EvaluationGrid,
-    FaultClass,
+    robustness_lineup, robustness_lineup_seq, robustness_lineup_with_threads, robustness_report,
+    robustness_report_recovered, FaultClass,
 };

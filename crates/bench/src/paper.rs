@@ -160,8 +160,8 @@ pub fn run_lineup_with_threads(spec: &ExperimentSpec, threads: usize) -> Vec<Sca
 }
 
 /// The sequential reference for [`run_lineup`]: one scaler at a time on
-/// the calling thread. Kept as the benchmark baseline and the
-/// equivalence oracle for the parallel path.
+/// the calling thread. Kept as the equivalence oracle for the parallel
+/// path.
 pub fn run_lineup_seq(spec: &ExperimentSpec) -> Vec<ScalerReport> {
     ScalerKind::paper_lineup()
         .iter()

@@ -11,14 +11,12 @@
 
 use crate::drivers::ScalerKind;
 use crate::experiment::{
-    advance_run, checkpoint_interval, finalize_run, fork_run, init_run, run_experiment,
-    run_experiment_recovered, run_experiment_with_faults, run_experiment_with_faults_cached,
-    ExperimentOutcome, ExperimentSpec, FaultedOutcome,
+    run_experiment, run_experiment_recovered, run_experiment_with_faults, ExperimentOutcome,
+    ExperimentSpec, FaultedOutcome,
 };
 use crate::pool::{default_threads, parallel_map};
 use chamulteon::RetryPolicy;
-use chamulteon_metrics::{RobustnessReport, ScalerReport};
-use chamulteon_queueing::CapacityCache;
+use chamulteon_metrics::RobustnessReport;
 use chamulteon_sim::{CorruptionMode, FaultPlan, RecoveryPolicy};
 
 /// One class of failure a scaler must degrade gracefully under.
@@ -176,8 +174,8 @@ pub fn robustness_lineup_with_threads(
 }
 
 /// The sequential reference for [`robustness_lineup`]: one scaler at a
-/// time on the calling thread. Kept as the benchmark baseline and the
-/// equivalence oracle for the parallel path.
+/// time on the calling thread. Kept as the equivalence oracle for the
+/// parallel path.
 pub fn robustness_lineup_seq(
     spec: &ExperimentSpec,
     class: FaultClass,
@@ -187,108 +185,6 @@ pub fn robustness_lineup_seq(
         .into_iter()
         .map(|kind| robustness_report(spec, kind, class, retry))
         .collect()
-}
-
-/// The full evaluation grid of the paper reproduction: the five-scaler
-/// lineup plus the clean-vs-faulted comparison under every fault class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluationGrid {
-    /// One scored report per lineup scaler (the Table II–V columns).
-    pub lineup: Vec<ScalerReport>,
-    /// Robustness rows indexed `[fault class][scaler]`, classes in
-    /// [`FaultClass::ALL`] order, scalers in lineup order.
-    pub robustness: Vec<Vec<RobustnessReport>>,
-}
-
-/// Runs the whole evaluation grid with run sharing: per scaler, ONE clean
-/// run serves both the lineup column and the clean side of all four
-/// robustness rows, and each faulted run is forked from a checkpoint of
-/// that clean run taken at the last scaling interval before the fault
-/// windows open (25 % into the trace) instead of replaying the clean
-/// prefix from scratch. Scaler cells run on a worker pool sharing one
-/// capacity cache.
-///
-/// The grid is bit-identical to [`evaluation_grid_seq`]: checkpoint forks
-/// are bit-identical to from-scratch faulted runs (pinned by simulator
-/// tests), cells are deterministic in the spec's seed, and cached
-/// capacity lookups are pure functions of their inputs.
-pub fn evaluation_grid(
-    spec: &ExperimentSpec,
-    retry: &RetryPolicy,
-    threads: usize,
-) -> EvaluationGrid {
-    let cache = CapacityCache::new();
-    let kinds = ScalerKind::paper_lineup();
-    let cells = parallel_map(&kinds, threads, |_, &kind| {
-        grid_cell(spec, kind, retry, &cache)
-    });
-    let lineup = cells
-        .iter()
-        .map(|cell| cell.clean.outcome.report.clone())
-        .collect();
-    let robustness = FaultClass::ALL
-        .iter()
-        .enumerate()
-        .map(|(c, &class)| {
-            cells
-                .iter()
-                .map(|cell| package_report(cell.kind, class, &cell.clean.outcome, &cell.faulted[c]))
-                .collect()
-        })
-        .collect();
-    EvaluationGrid { lineup, robustness }
-}
-
-/// The sequential, no-sharing reference for [`evaluation_grid`] — exactly
-/// the runs a caller would have issued before the grid existed: a
-/// sequential lineup plus, per fault class, a sequential clean-vs-faulted
-/// pair per scaler (45 full runs for the five-scaler lineup). Kept as the
-/// benchmark baseline and the equivalence oracle.
-pub fn evaluation_grid_seq(spec: &ExperimentSpec, retry: &RetryPolicy) -> EvaluationGrid {
-    EvaluationGrid {
-        lineup: crate::paper::run_lineup_seq(spec),
-        robustness: FaultClass::ALL
-            .iter()
-            .map(|&class| robustness_lineup_seq(spec, class, retry))
-            .collect(),
-    }
-}
-
-/// One scaler's share of the grid: its clean run and the four faulted
-/// continuations.
-struct GridCell {
-    kind: ScalerKind,
-    clean: FaultedOutcome,
-    faulted: Vec<FaultedOutcome>,
-}
-
-fn grid_cell(
-    spec: &ExperimentSpec,
-    kind: ScalerKind,
-    retry: &RetryPolicy,
-    cache: &CapacityCache,
-) -> GridCell {
-    let duration = spec.trace.duration();
-    let mut clean = init_run(spec, kind, None);
-    advance_run(&mut clean, spec, retry, checkpoint_interval(spec));
-    let faulted = FaultClass::ALL
-        .iter()
-        .map(|class| {
-            let plan = class.plan(spec.seed, duration, spec.scaling_interval);
-            match fork_run(&clean, plan.clone()) {
-                Some(state) => finalize_run(state, spec, retry, cache),
-                // Fork preconditions not met (e.g. fault windows opening
-                // before the first interval boundary): replay from scratch.
-                None => run_experiment_with_faults_cached(spec, kind, Some(plan), retry, cache),
-            }
-        })
-        .collect();
-    let clean = finalize_run(clean, spec, retry, cache);
-    GridCell {
-        kind,
-        clean,
-        faulted,
-    }
 }
 
 #[cfg(test)]
@@ -329,33 +225,6 @@ mod tests {
         let b = FaultClass::DropSamples.plan(42, 600.0, 60.0);
         assert_eq!(a.seed(), b.seed());
         assert_eq!(a.windows(), b.windows());
-    }
-
-    #[test]
-    fn checkpoint_fork_engages_on_smoke_setup() {
-        // The grid's fast path must actually be exercised: the smoke spec
-        // admits a checkpoint strictly before the fault windows, and every
-        // class's plan forks from it.
-        let spec = crate::setups::smoke_test();
-        let k = checkpoint_interval(&spec);
-        assert!(k >= 1, "checkpoint at interval {k}");
-        let mut clean = init_run(&spec, ScalerKind::Chamulteon, None);
-        advance_run(&mut clean, &spec, &RetryPolicy::default(), k);
-        for class in FaultClass::ALL {
-            let plan = class.plan(spec.seed, spec.trace.duration(), spec.scaling_interval);
-            assert!(fork_run(&clean, plan).is_some(), "{class:?}");
-        }
-    }
-
-    #[test]
-    fn grid_matches_sequential_baseline() {
-        // The shared-run, checkpoint-forked, cache-scored parallel grid is
-        // bit-identical to the 45-run sequential baseline.
-        let spec = crate::setups::smoke_test();
-        let retry = RetryPolicy::default();
-        let seq = evaluation_grid_seq(&spec, &retry);
-        let grid = evaluation_grid(&spec, &retry, 2);
-        assert_eq!(grid, seq);
     }
 
     #[test]

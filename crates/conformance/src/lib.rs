@@ -13,8 +13,8 @@
 //!   the capacity solver's answers within batch-means confidence bands;
 //! * [`algorithm1`] — a brute-force re-derivation of the Algorithm 1
 //!   decision pass by naive linear search, asserting bit-level agreement
-//!   with both the exact and the cached/incremental decision paths over a
-//!   seeded grid of generated applications;
+//!   with `core`'s one decision path over a seeded grid of generated
+//!   applications;
 //! * [`fox_ledger`] — a replay of randomized scaling-decision logs
 //!   through an independent re-implementation of the FOX policy that
 //!   counts billing intervals instead of rounding, asserting exact

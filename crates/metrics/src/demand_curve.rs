@@ -40,8 +40,7 @@ pub fn demand_curve(
 }
 
 /// [`demand_curve`] answered through a [`CapacityCache`]: repeated rates
-/// within the trace — and identical curves re-derived across scalers or
-/// fault classes — hit the memo instead of re-running the solver. The
+/// within the trace hit the memo instead of re-running the solver. The
 /// cached solver rounds conservatively (see the cache docs), so the curve
 /// never undersizes.
 pub fn demand_curve_with_cache(
@@ -106,9 +105,8 @@ pub fn demand_curves(
 }
 
 /// [`demand_curves`] answered through a [`CapacityCache`] — see
-/// [`demand_curve_with_cache`]. Sharing one cache across the scalers and
-/// fault classes of a benchmark grid collapses the repeated ground-truth
-/// derivations into hash lookups.
+/// [`demand_curve_with_cache`]. Repeated rates within the trace become
+/// hash lookups.
 pub fn demand_curves_with_cache(
     cache: &CapacityCache,
     trace: &LoadTrace,

@@ -27,9 +27,9 @@
 //! A cached result is a pure function of the quantized key — the solver is
 //! always evaluated at the bucket corner, never at the first-seen exact
 //! input. Lookup order therefore cannot change any value the cache
-//! returns, which is what lets the parallel lineup runner share one cache
-//! across worker threads and still produce bit-identical reports to the
-//! sequential path.
+//! returns: sharing one cache across runs or worker threads could not
+//! change any report. Each experiment run scores through a fresh cache of
+//! its own.
 
 use std::collections::HashMap;
 // audit:allow(R8): cache interior mutability; hits return memoized bit-identical values

@@ -36,12 +36,6 @@ pub enum SimError {
         /// The current simulation time.
         now: f64,
     },
-    /// A checkpoint fork was requested in a state from which the forked
-    /// run would not be bit-identical to a from-scratch faulted run.
-    CannotFork {
-        /// Which precondition failed.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -61,9 +55,6 @@ impl fmt::Display for SimError {
                     f,
                     "cannot run the simulation backwards: target {target} s is before now {now} s"
                 )
-            }
-            SimError::CannotFork { reason } => {
-                write!(f, "cannot fork the simulation at this point: {reason}")
             }
         }
     }

@@ -66,18 +66,6 @@ pub(crate) enum EventKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct EventId(u64);
 
-impl EventId {
-    /// This handle after [`EventQueue::insert_after`]`(after, …)` inserted
-    /// `count` events: handles past `after` move up by `count`.
-    pub(crate) fn displaced(self, after: u64, count: u64) -> EventId {
-        if self.0 > after {
-            EventId(self.0.saturating_add(count))
-        } else {
-            self
-        }
-    }
-}
-
 /// One heap entry. Ordering is by time, then sequence number, both
 /// reversed because `BinaryHeap` is a max-heap and we pop earliest-first.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,38 +116,6 @@ impl EventQueue {
         let seq = self.next_seq;
         self.heap.push(Entry { time, seq, kind });
         EventId(seq)
-    }
-
-    /// Renumbers the queue as if `events` had been scheduled right after
-    /// the event with sequence number `after`: they take the numbers
-    /// `after + 1 ..= after + m`, and every later entry, tombstone and
-    /// future number moves up by `m` (stored handles follow through
-    /// [`EventId::displaced`]). Ties break on the sequence number, so the
-    /// queue then fires exactly as one built in that order would.
-    pub(crate) fn insert_after(&mut self, after: u64, events: &[(f64, EventKind)]) {
-        let m = u64::try_from(events.len()).unwrap_or(u64::MAX);
-        let shift = |seq: u64| {
-            if seq > after {
-                seq.saturating_add(m)
-            } else {
-                seq
-            }
-        };
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        for entry in &mut entries {
-            entry.seq = shift(entry.seq);
-        }
-        let mut seq = after;
-        for &(time, kind) in events {
-            seq = seq.saturating_add(1);
-            entries.push(Entry { time, seq, kind });
-        }
-        self.heap = BinaryHeap::from(entries);
-        self.cancelled = std::mem::take(&mut self.cancelled)
-            .into_iter()
-            .map(shift)
-            .collect();
-        self.next_seq = self.next_seq.saturating_add(m);
     }
 
     /// Cancels a scheduled event. Returns `false` when the event already
@@ -256,36 +212,6 @@ mod tests {
         // Out-of-range handles are rejected.
         assert!(!q.cancel(EventId(999)));
         assert!(!q.cancel(EventId(0)));
-    }
-
-    #[test]
-    fn insert_after_fires_like_a_queue_built_in_that_order() {
-        // Three equal-time events, the middle one cancelled; two events
-        // inserted after the first must fire as if they had been scheduled
-        // second and third all along, and displaced handles stay valid.
-        let mut q = EventQueue::new();
-        q.schedule(5.0, EventKind::Boot { service: 0 });
-        let b = q.schedule(5.0, EventKind::Boot { service: 1 });
-        let c = q.schedule(5.0, EventKind::Boot { service: 2 });
-        assert!(q.cancel(b));
-        q.insert_after(
-            1,
-            &[
-                (5.0, EventKind::Boot { service: 10 }),
-                (5.0, EventKind::Boot { service: 11 }),
-            ],
-        );
-        let c = c.displaced(1, 2);
-        assert_eq!(c, EventId(5));
-        assert!(q.cancel(c));
-        assert_eq!(q.schedule(5.0, EventKind::Boot { service: 3 }), EventId(6));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|(_, k)| match k {
-                EventKind::Boot { service } => service,
-                _ => usize::MAX,
-            })
-            .collect();
-        assert_eq!(order, vec![0, 10, 11, 3]);
     }
 
     #[test]

@@ -40,11 +40,10 @@
 //!   approximation);
 //! * `fluid` — the piecewise-exact mean-drift integrator and the analytic
 //!   sojourn sampler behind the fluid regime;
-//! * [`engine`] — the event loop, the nested VM pool ([`nested`]), the
-//!   checkpoint fork behind the robustness grid, and the hysteretic hybrid
-//!   switch ([`HybridConfig`]) that moves a station between the regimes as
-//!   its offered load crosses the threshold, conserving in-flight requests
-//!   bit-exactly across every transition.
+//! * [`engine`] — the event loop, the nested VM pool ([`nested`]) and the
+//!   hysteretic hybrid switch ([`HybridConfig`]) that moves a station
+//!   between the regimes as its offered load crosses the threshold,
+//!   conserving in-flight requests bit-exactly across every transition.
 //!
 //! See DESIGN.md §15 for the event taxonomy, the cancellation mechanism,
 //! the switch criterion and the conservation argument.
