@@ -241,7 +241,10 @@ impl Chamulteon {
     ///
     /// [`SnapshotError::Inconsistent`] when the snapshot's service count
     /// disagrees with `model`, an estimator window capacity differs from
-    /// `config.demand_window`, or its entry history fails validation.
+    /// `config.demand_window`, its entry history fails validation, or a
+    /// decision record is one [`snapshot`](Chamulteon::snapshot) never
+    /// writes: a reactive decision, or one whose generation is ahead of
+    /// the snapshot's forecast generation.
     pub fn restore(
         model: ApplicationModel,
         config: ChamulteonConfig,
@@ -253,6 +256,20 @@ impl Chamulteon {
                 message: format!(
                     "snapshot of {} services restored into a {services}-service model",
                     snapshot.services
+                ),
+            });
+        }
+        // The store holds only proactive decisions from forecasts already
+        // made; any other record would outlive the forecasts meant to
+        // supersede it.
+        let generation = snapshot.forecast_generation;
+        if let Some(d) = snapshot.decisions.iter().find(|d| {
+            !matches!(d.origin, DecisionOrigin::Proactive { generation: g, .. } if g <= generation)
+        }) {
+            return Err(SnapshotError::Inconsistent {
+                message: format!(
+                    "service {} decision {:?} cannot be stored at forecast generation {generation}",
+                    d.service, d.origin
                 ),
             });
         }
@@ -676,12 +693,11 @@ impl Chamulteon {
         self.store.evict_expired(time);
         let forecast_now = self.active_forecast_now();
         let service_count = self.model.service_count();
+        let proactive = self.store.candidates_at(time, service_count);
         let mut targets = Vec::with_capacity(service_count);
         for service in 0..service_count {
             let current = instances[service];
-            let resolved = self
-                .store
-                .resolve(service, time, current, reactive[service]);
+            let resolved = DecisionStore::resolve(proactive[service], current, reactive[service]);
             let (chosen, winner, origin_generation, origin_trusted) = match resolved {
                 Some(decision) => match decision.origin {
                     DecisionOrigin::Proactive {
@@ -698,7 +714,7 @@ impl Chamulteon {
                 None => (current, Winner::Hold, None, None),
             };
             if tracing {
-                let proactive_candidate = self.store.proactive_at(service, time);
+                let proactive_candidate = proactive[service];
                 let reactive_candidate = reactive[service];
                 self.obs.record_with(|| {
                     Event::service(

@@ -714,6 +714,41 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_decisions_the_controller_cannot_have_made() {
+        let model = ApplicationModel::paper_benchmark();
+        let config = ChamulteonConfig::default();
+        let snapshot = controller_with_state().snapshot();
+        let generation = snapshot.forecast_generation;
+        assert!(
+            snapshot.decisions.iter().any(|d| matches!(
+                d.origin,
+                DecisionOrigin::Proactive { generation: g, .. } if g == generation
+            )),
+            "decisions of the current generation must be live"
+        );
+        assert!(Chamulteon::restore(model.clone(), config.clone(), &snapshot).is_ok());
+        // A decision from a forecast the controller has not made yet.
+        let mut ahead = snapshot.clone();
+        ahead.decisions[0].origin = DecisionOrigin::Proactive {
+            generation: generation + 1,
+            trusted: true,
+        };
+        // A reactive decision: the store holds only proactive ones.
+        let mut reactive = snapshot.clone();
+        reactive.decisions[0].origin = DecisionOrigin::Reactive;
+        for (what, forged) in [("ahead", ahead), ("reactive", reactive)] {
+            let decoded = ControllerSnapshot::decode(&forged.encode()).expect("well-formed");
+            assert!(
+                matches!(
+                    Chamulteon::restore(model.clone(), config.clone(), &decoded),
+                    Err(SnapshotError::Inconsistent { .. })
+                ),
+                "{what} decision restored"
+            );
+        }
+    }
+
+    #[test]
     fn snapshot_is_a_pure_read() {
         // Same tick sequence with and without snapshots interleaved.
         let mut with_snapshots = controller_with_state();

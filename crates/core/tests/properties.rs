@@ -26,6 +26,109 @@ fn sample_for(rate: f64, demand: f64, n: u32) -> MonitoringSample {
         .with_completions((rate.min(capacity) * 60.0).round() as u64)
 }
 
+/// The per-decision reference for [`DecisionStore::add_proactive`]: one
+/// `retain` over the whole store for every proactive batch decision, then
+/// a push.
+fn oracle_add(store: &mut Vec<ScalingDecision>, batch: &[ScalingDecision]) {
+    for new in batch {
+        let DecisionOrigin::Proactive {
+            generation: new_gen,
+            ..
+        } = new.origin
+        else {
+            continue; // only proactive decisions are stored
+        };
+        store.retain(|old| {
+            let DecisionOrigin::Proactive { generation, .. } = old.origin else {
+                return true;
+            };
+            let overlaps = old.service == new.service && old.start < new.end && new.start < old.end;
+            !(overlaps && generation < new_gen)
+        });
+        store.push(*new);
+    }
+}
+
+/// The per-service reference for [`DecisionStore::candidates_at`]: the
+/// covering decision of the newest generation, the last one on a tie.
+fn oracle_at(store: &[ScalingDecision], service: usize, t: f64) -> Option<ScalingDecision> {
+    store
+        .iter()
+        .filter(|d| d.service == service && d.covers(t))
+        .max_by_key(|d| match d.origin {
+            DecisionOrigin::Proactive { generation, .. } => generation,
+            DecisionOrigin::Reactive => 0,
+        })
+        .copied()
+}
+
+/// `((service, target), (start slot, slots), (generation, trusted, kind))`;
+/// kind 0 is a reactive decision.
+type DecisionDraw = ((usize, u32), (u32, u32), (u64, bool, u8));
+
+/// A decision on a 60 s grid, so touching windows (`[a, b)` then
+/// `[b, c)`) and equal generations at one `t` are common.
+fn drawn_decision(draw: DecisionDraw) -> ScalingDecision {
+    let ((service, target), (slot, slots), (generation, trusted, kind)) = draw;
+    let start = f64::from(slot) * 60.0;
+    ScalingDecision {
+        service,
+        target,
+        start,
+        end: start + f64::from(slots) * 60.0,
+        origin: if kind == 0 {
+            DecisionOrigin::Reactive
+        } else {
+            DecisionOrigin::Proactive {
+                generation,
+                trusted,
+            }
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// The one-pass store against the per-decision loop it replaced:
+    /// random batches (mixed generations, reactive entries, repeated
+    /// services, touching windows) leave the same vector, order included,
+    /// and every service's candidate at a random `t` — half-slot steps
+    /// hit window boundaries and midpoints — is the oracle's.
+    #[test]
+    fn decision_store_matches_the_per_decision_loop(
+        steps in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    ((0usize..4, 1u32..9), (0u32..8, 1u32..4), (0u64..5, any::<bool>(), 0u8..6)),
+                    0..16,
+                ),
+                0u32..24,
+                any::<bool>(),
+            ),
+            1..8,
+        ),
+    ) {
+        let mut store = DecisionStore::new();
+        let mut oracle = Vec::new();
+        for (draws, half_slot, expire) in steps {
+            let batch: Vec<ScalingDecision> = draws.into_iter().map(drawn_decision).collect();
+            store.add_proactive(&batch);
+            oracle_add(&mut oracle, &batch);
+            prop_assert_eq!(store.proactive(), &oracle[..]);
+            let t = f64::from(half_slot) * 30.0;
+            let candidates = store.candidates_at(t, 5);
+            for (service, &candidate) in candidates.iter().enumerate() {
+                prop_assert_eq!(candidate, oracle_at(&oracle, service, t));
+            }
+            if expire {
+                store.evict_expired(t);
+                oracle.retain(|d| d.end > t);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -128,7 +231,8 @@ proptest! {
             end: 60.0,
             origin: DecisionOrigin::Reactive,
         };
-        let chosen = store.resolve(0, 30.0, current, Some(reactive)).unwrap();
+        let candidate = store.candidates_at(30.0, 1)[0];
+        let chosen = DecisionStore::resolve(candidate, current, Some(reactive)).unwrap();
         prop_assert!(chosen.target == p_target || chosen.target == r_target);
         // Trusted + wants-to-scale must pick proactive; otherwise reactive.
         if trusted && p_target != current {
