@@ -4,7 +4,7 @@
 //! autoregression; this is that component. The design matrix is tiny
 //! (p ≤ ~10 columns), so a dense normal-equations solve is appropriate.
 
-use super::{holdout_mase, Forecast, Forecaster};
+use super::Forecaster;
 use crate::error::ForecastError;
 use crate::series::TimeSeries;
 use crate::stats::{mean, solve_linear_system};
@@ -75,7 +75,11 @@ impl Forecaster for ArForecaster {
         "ar"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         if horizon == 0 {
             return Err(ForecastError::EmptyHorizon);
         }
@@ -87,33 +91,28 @@ impl Forecaster for ArForecaster {
                 need,
             });
         }
-        let out = match self.fit(values) {
-            Some(beta) => {
-                let p = self.order;
-                let mut window: Vec<f64> = values[values.len() - p..].to_vec();
-                let mut out = Vec::with_capacity(horizon);
-                for _ in 0..horizon {
-                    let mut pred = beta[0];
-                    for i in 1..=p {
-                        pred += beta[i] * window[window.len() - i];
-                    }
-                    // Keep iterated forecasts from exploding on marginally
-                    // unstable fits: clamp to a generous band around the
-                    // observed range.
-                    let hi = values.iter().cloned().fold(f64::MIN, f64::max);
-                    let lo = values.iter().cloned().fold(f64::MAX, f64::min);
-                    let span = (hi - lo).max(1.0);
-                    pred = pred.clamp(lo - 2.0 * span, hi + 2.0 * span);
-                    out.push(pred);
-                    window.push(pred);
-                }
-                out
-            }
+        let Some(beta) = self.fit(values) else {
             // Singular fit (constant series): predict the mean.
-            None => vec![mean(values); horizon],
+            return Ok((vec![mean(values); horizon], 1));
         };
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), out, m))
+        // Keep iterated forecasts from exploding on marginally unstable
+        // fits: clamp to a generous band around the observed range.
+        let hi = values.iter().cloned().fold(f64::MIN, f64::max);
+        let lo = values.iter().cloned().fold(f64::MAX, f64::min);
+        let span = (hi - lo).max(1.0);
+        let p = self.order;
+        let mut window: Vec<f64> = values[values.len() - p..].to_vec();
+        let mut out = Vec::with_capacity(horizon);
+        for _ in 0..horizon {
+            let mut pred = beta[0];
+            for i in 1..=p {
+                pred += beta[i] * window[window.len() - i];
+            }
+            pred = pred.clamp(lo - 2.0 * span, hi + 2.0 * span);
+            out.push(pred);
+            window.push(pred);
+        }
+        Ok((out, 1))
     }
 }
 

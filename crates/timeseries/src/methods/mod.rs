@@ -2,9 +2,9 @@
 //!
 //! All methods implement the [`Forecaster`] trait: given a history series
 //! and a horizon, they return a [`Forecast`] with one value per future
-//! step. Each method also reports an in-sample one-step MASE computed by a
-//! holdout backtest, which Chamulteon's conflict resolution uses as the
-//! *trust* measure for proactive decisions.
+//! step. Each method also reports an in-sample MASE computed by a holdout
+//! backtest, which Chamulteon's conflict resolution uses as the *trust*
+//! measure for proactive decisions.
 
 mod ar;
 mod naive;
@@ -32,13 +32,9 @@ impl Forecast {
     /// Creates a forecast result. Negative predictions are clamped to zero
     /// — arrival rates cannot be negative.
     pub fn new(method: impl Into<String>, values: Vec<f64>, in_sample_mase: Option<f64>) -> Self {
-        let values = values
-            .into_iter()
-            .map(|v| if v.is_finite() { v.max(0.0) } else { 0.0 })
-            .collect();
         Forecast {
             method: method.into(),
-            values,
+            values: clamp_rates(values),
             in_sample_mase,
         }
     }
@@ -65,30 +61,75 @@ impl Forecast {
     }
 }
 
+/// Maps every value to a valid arrival rate: non-finite values become 0
+/// and negative ones are clamped to 0.
+pub(crate) fn clamp_rates(values: Vec<f64>) -> Vec<f64> {
+    values
+        .into_iter()
+        .map(|v| if v.is_finite() { v.max(0.0) } else { 0.0 })
+        .collect()
+}
+
 /// A forecasting method.
+///
+/// A method implements one values-only step, [`predict`], and gets
+/// [`forecast`] for free: `forecast` predicts once on the history, then
+/// scores the method once with [`holdout_mase`], which predicts once on the
+/// training prefix. Neither step calls `forecast`, so a forecast does the
+/// work it reports and no more: a method that builds on another (as
+/// Telescope builds on Holt and AR) calls that method's `predict` too.
 ///
 /// The trait is object-safe so heterogeneous collections of methods can be
 /// evaluated side by side (the forecast-method ablation bench does this).
+///
+/// [`predict`]: Forecaster::predict
+/// [`forecast`]: Forecaster::forecast
 pub trait Forecaster {
     /// A short human-readable name, e.g. `"holt-winters"`.
     fn name(&self) -> &str;
 
-    /// Produces `horizon` predictions following the end of `history`.
+    /// Predicts `horizon` values following the end of `history`, before the
+    /// clamp of [`Forecast::new`], together with the season length that
+    /// scales their MASE: 1 for most methods, the period for seasonal
+    /// methods, and for Telescope the season it used on `history`.
+    ///
+    /// No method's values depend on its MASE, so this is all a method
+    /// computes.
     ///
     /// # Errors
     ///
     /// Implementations return [`ForecastError::TooShort`] when the history
     /// cannot support the method and [`ForecastError::EmptyHorizon`] for a
     /// zero horizon.
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError>;
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError>;
+
+    /// Produces `horizon` predictions following the end of `history`, with
+    /// the in-sample MASE of a holdout backtest ([`holdout_mase`]).
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`predict`](Forecaster::predict) on `history`.
+    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+        let (values, season) = self.predict(history, horizon)?;
+        let m = holdout_mase(self, history, season);
+        Ok(Forecast::new(self.name(), values, m))
+    }
 }
 
 /// Backtests a forecaster on the tail of `history`: the last
-/// `max(1, len/5)` observations are held out, the method is fit on the rest
-/// and its holdout MASE (scaled at `season`) is returned.
+/// `max(1, len/5)` observations (at most half the series) are held out,
+/// the method [predicts](Forecaster::predict) them from the rest, and the
+/// MASE of those predictions, clamped as [`Forecast::new`] clamps them and
+/// scaled at `season`, is returned.
 ///
-/// Returns `None` when the history is too short to split or the method
-/// fails on the shortened series.
+/// Only the values of the prefix forecast are computed, never its own MASE.
+///
+/// Returns `None` when the history has fewer than 8 observations, the
+/// method fails on the shortened series, or the MASE is undefined (NaN).
 pub fn holdout_mase<F: Forecaster + ?Sized>(
     forecaster: &F,
     history: &TimeSeries,
@@ -100,8 +141,13 @@ pub fn holdout_mase<F: Forecaster + ?Sized>(
     }
     let holdout = (n / 5).max(1).min(n / 2);
     let (train, test) = history.split_at(n - holdout);
-    let fc = forecaster.forecast(&train, holdout).ok()?;
-    let m = mase(train.values(), test.values(), fc.values(), season.max(1));
+    let (values, _) = forecaster.predict(&train, holdout).ok()?;
+    let m = mase(
+        train.values(),
+        test.values(),
+        &clamp_rates(values),
+        season.max(1),
+    );
     if m.is_nan() {
         None
     } else {
@@ -131,14 +177,13 @@ mod tests {
             fn name(&self) -> &str {
                 "oracle"
             }
-            fn forecast(
+            fn predict(
                 &self,
                 history: &TimeSeries,
                 horizon: usize,
-            ) -> Result<Forecast, ForecastError> {
+            ) -> Result<(Vec<f64>, usize), ForecastError> {
                 let last = history.last().unwrap_or(0.0);
-                let values = (1..=horizon).map(|h| last + h as f64).collect();
-                Ok(Forecast::new("oracle", values, None))
+                Ok(((1..=horizon).map(|h| last + h as f64).collect(), 1))
             }
         }
         let line: Vec<f64> = (0..40).map(f64::from).collect();

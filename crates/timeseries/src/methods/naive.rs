@@ -1,6 +1,6 @@
 //! The simple reference forecasters: naive, seasonal naive, drift, mean.
 
-use super::{holdout_mase, Forecast, Forecaster};
+use super::Forecaster;
 use crate::error::ForecastError;
 use crate::series::TimeSeries;
 use crate::stats::mean;
@@ -33,14 +33,17 @@ impl Forecaster for NaiveForecaster {
         "naive"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         require_nonempty_horizon(horizon)?;
         require_len(history, 1)?;
         let Some(last) = history.last() else {
             return Err(ForecastError::TooShort { have: 0, need: 1 });
         };
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), vec![last; horizon], m))
+        Ok((vec![last; horizon], 1))
     }
 }
 
@@ -65,16 +68,19 @@ impl Forecaster for SeasonalNaiveForecaster {
         "seasonal-naive"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         require_nonempty_horizon(horizon)?;
         require_len(history, self.period)?;
         let values = history.values();
         let n = values.len();
-        let out: Vec<f64> = (0..horizon)
+        let out = (0..horizon)
             .map(|h| values[n - self.period + (h % self.period)])
             .collect();
-        let m = holdout_mase(self, history, self.period);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok((out, self.period))
     }
 }
 
@@ -88,16 +94,18 @@ impl Forecaster for DriftForecaster {
         "drift"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         require_nonempty_horizon(horizon)?;
         require_len(history, 2)?;
         let values = history.values();
         let n = values.len();
         let slope = (values[n - 1] - values[0]) / (n - 1) as f64;
         let last = values[n - 1];
-        let out = (1..=horizon).map(|h| last + slope * h as f64).collect();
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok(((1..=horizon).map(|h| last + slope * h as f64).collect(), 1))
     }
 }
 
@@ -127,14 +135,17 @@ impl Forecaster for MeanForecaster {
         "mean"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         require_nonempty_horizon(horizon)?;
         require_len(history, 1)?;
         let values = history.values();
         let window = self.window.unwrap_or(values.len()).min(values.len());
         let level = mean(&values[values.len() - window..]);
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), vec![level; horizon], m))
+        Ok((vec![level; horizon], 1))
     }
 }
 

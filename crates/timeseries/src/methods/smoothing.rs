@@ -1,7 +1,7 @@
 //! Exponential-smoothing forecasters: simple (SES), Holt linear trend with
 //! optional damping, and additive Holt-Winters.
 
-use super::{holdout_mase, Forecast, Forecaster};
+use super::Forecaster;
 use crate::error::ForecastError;
 use crate::series::TimeSeries;
 use crate::stats::mean;
@@ -44,7 +44,11 @@ impl Forecaster for SesForecaster {
         "ses"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         if horizon == 0 {
             return Err(ForecastError::EmptyHorizon);
         }
@@ -56,8 +60,7 @@ impl Forecaster for SesForecaster {
         for &y in &values[1..] {
             level = self.alpha * y + (1.0 - self.alpha) * level;
         }
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), vec![level; horizon], m))
+        Ok((vec![level; horizon], 1))
     }
 }
 
@@ -105,7 +108,11 @@ impl Forecaster for HoltForecaster {
         "holt"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         if horizon == 0 {
             return Err(ForecastError::EmptyHorizon);
         }
@@ -131,8 +138,7 @@ impl Forecaster for HoltForecaster {
             damp_sum += damp_pow;
             out.push(level + damp_sum * trend);
         }
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok((out, 1))
     }
 }
 
@@ -185,7 +191,11 @@ impl Forecaster for HoltWintersForecaster {
         "holt-winters"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         if horizon == 0 {
             return Err(ForecastError::EmptyHorizon);
         }
@@ -213,11 +223,10 @@ impl Forecaster for HoltWintersForecaster {
         }
 
         let n = values.len();
-        let out: Vec<f64> = (1..=horizon)
+        let out = (1..=horizon)
             .map(|h| level + trend * h as f64 + seasonal[(n + h - 1) % m])
             .collect();
-        let ms = holdout_mase(self, history, m);
-        Ok(Forecast::new(self.name(), out, ms))
+        Ok((out, m))
     }
 }
 

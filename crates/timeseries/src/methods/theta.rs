@@ -7,7 +7,7 @@
 //! non-seasonal method in most comparisons, which makes it a valuable
 //! reference point for the forecast ablation.
 
-use super::{holdout_mase, Forecast, Forecaster};
+use super::Forecaster;
 use crate::error::ForecastError;
 use crate::series::TimeSeries;
 use crate::stats::linear_fit;
@@ -47,7 +47,11 @@ impl Forecaster for ThetaForecaster {
         "theta"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         if horizon == 0 {
             return Err(ForecastError::EmptyHorizon);
         }
@@ -66,9 +70,7 @@ impl Forecaster for ThetaForecaster {
         for &y in &values[1..] {
             level = self.alpha * y + (1.0 - self.alpha) * level;
         }
-        let out = (1..=horizon).map(|h| level + drift * h as f64).collect();
-        let m = holdout_mase(self, history, 1);
-        Ok(Forecast::new(self.name(), out, m))
+        Ok(((1..=horizon).map(|h| level + drift * h as f64).collect(), 1))
     }
 }
 

@@ -84,10 +84,12 @@ pub fn detect_season_length(series: &TimeSeries) -> Option<usize> {
         // the ACF in a ±20% window around the candidate for its maximum.
         let lo = (candidate * 4 / 5).max(2); // floor(0.8 · candidate)
         let hi = (candidate * 6).div_ceil(5).min(n / 2); // ceil(1.2 · candidate)
-        let refined = (lo..=hi)
-            .max_by(|&a, &b| autocorrelation(values, a).total_cmp(&autocorrelation(values, b)))
-            .unwrap_or(candidate);
-        if autocorrelation(values, refined) >= ACF_CONFIRMATION_THRESHOLD {
+                                                         // Each lag is scored once; on a tie the later lag wins.
+        let (refined, acf) = (lo..=hi)
+            .map(|lag| (lag, autocorrelation(values, lag)))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap_or_else(|| (candidate, autocorrelation(values, candidate)));
+        if acf >= ACF_CONFIRMATION_THRESHOLD {
             return Some(refined);
         }
     }

@@ -70,10 +70,16 @@ pub fn linear_fit(values: &[f64]) -> (f64, f64) {
 }
 
 /// Raw periodogram power at integer frequencies `1..=max_freq` (cycles per
-/// series length), computed by direct DFT projection.
+/// series length), computed by DFT projection.
 ///
 /// Index `k` of the returned vector holds the power of frequency `k + 1`.
-/// The mean is removed first so frequency 0 carries no power.
+/// The mean is removed first so frequency 0 carries no power. A frequency
+/// at or above `n` aliases to `freq mod n`.
+///
+/// The phase `2π·f·t/n` of every term is one of the `n` angles `2π·k/n`
+/// with `k = f·t mod n`, so the sines and cosines come from one table of
+/// `n` twiddles, walked in steps of `f mod n`, instead of `n·max_freq`
+/// calls of `sin` and `cos`.
 pub fn periodogram(values: &[f64], max_freq: usize) -> Vec<f64> {
     let n = values.len();
     if n < 4 || max_freq == 0 {
@@ -81,15 +87,23 @@ pub fn periodogram(values: &[f64], max_freq: usize) -> Vec<f64> {
     }
     let m = mean(values);
     let centered: Vec<f64> = values.iter().map(|v| v - m).collect();
+    let twiddles: Vec<(f64, f64)> = (0..n)
+        .map(|k| (std::f64::consts::TAU * k as f64 / n as f64).sin_cos())
+        .collect();
     let mut powers = Vec::with_capacity(max_freq);
     for freq in 1..=max_freq {
-        let omega = std::f64::consts::TAU * freq as f64 / n as f64;
+        let stride = freq % n;
+        let mut k = 0;
         let mut re = 0.0;
         let mut im = 0.0;
-        for (t, &y) in centered.iter().enumerate() {
-            let phase = omega * t as f64;
-            re += y * phase.cos();
-            im += y * phase.sin();
+        for &y in &centered {
+            let (sin, cos) = twiddles[k];
+            re += y * cos;
+            im += y * sin;
+            k += stride;
+            if k >= n {
+                k -= n;
+            }
         }
         powers.push((re * re + im * im) / n as f64);
     }

@@ -23,9 +23,7 @@
 
 use crate::decompose::decompose_additive;
 use crate::error::ForecastError;
-use crate::methods::{
-    holdout_mase, ArForecaster, Forecast, Forecaster, HoltForecaster, NaiveForecaster,
-};
+use crate::methods::{clamp_rates, ArForecaster, Forecaster, HoltForecaster, NaiveForecaster};
 use crate::season::detect_season_length;
 use crate::series::TimeSeries;
 
@@ -76,12 +74,33 @@ impl TelescopeForecaster {
     }
 }
 
+impl TelescopeForecaster {
+    /// The trend method's predictions on `series`, or the naive ones when
+    /// the series is too short for it, clamped as a [`Forecast`] clamps
+    /// them.
+    ///
+    /// [`Forecast`]: crate::methods::Forecast
+    fn trend_values(&self, series: &TimeSeries, horizon: usize) -> Result<Vec<f64>, ForecastError> {
+        let (values, _) = self
+            .trend_method
+            .predict(series, horizon)
+            .or_else(|_| NaiveForecaster.predict(series, horizon))?;
+        Ok(clamp_rates(values))
+    }
+}
+
 impl Forecaster for TelescopeForecaster {
     fn name(&self) -> &str {
         "telescope"
     }
 
-    fn forecast(&self, history: &TimeSeries, horizon: usize) -> Result<Forecast, ForecastError> {
+    /// The MASE season is the one used on `history`: detected (or the
+    /// override), or 1 when there is none.
+    fn predict(
+        &self,
+        history: &TimeSeries,
+        horizon: usize,
+    ) -> Result<(Vec<f64>, usize), ForecastError> {
         if horizon == 0 {
             return Err(ForecastError::EmptyHorizon);
         }
@@ -90,64 +109,48 @@ impl Forecaster for TelescopeForecaster {
         }
         // Very short history: naive fallback.
         if history.len() < 8 {
-            let fc = NaiveForecaster.forecast(history, horizon)?;
-            return Ok(Forecast::new(self.name(), fc.values().to_vec(), None));
+            return NaiveForecaster.predict(history, horizon);
         }
 
-        let season = self.season_for(history);
-        let values = match season {
-            Some(period) => {
-                let d = decompose_additive(history, period)?;
-                let n = history.len();
-
-                // Trend: damped Holt on the extracted trend.
-                let trend_series = TimeSeries::from_values(history.step(), d.trend.clone())?;
-                let trend_fc = self
-                    .trend_method
-                    .forecast(&trend_series, horizon)
-                    .or_else(|_| NaiveForecaster.forecast(&trend_series, horizon))?;
-
-                // Remainder: AR(p), falling back to zeros when too short or
-                // structureless.
-                let remainder_series =
-                    TimeSeries::from_values(history.step(), d.remainder.clone())?;
-                let remainder_values: Vec<f64> = ArForecaster::new(self.remainder_order)
-                    .and_then(|ar| ar.forecast_signed(&remainder_series, horizon))
-                    .unwrap_or_else(|_| vec![0.0; horizon]);
-
-                // Season: continue the periodic pattern.
-                (0..horizon)
-                    .map(|h| {
-                        let s = d.seasonal[(n + h) % period];
-                        trend_fc.values()[h] + s + remainder_values[h]
-                    })
-                    .collect()
-            }
-            None => {
-                // No season: damped Holt on the raw series (trend + noise).
-                let fc = self
-                    .trend_method
-                    .forecast(history, horizon)
-                    .or_else(|_| NaiveForecaster.forecast(history, horizon))?;
-                fc.values().to_vec()
-            }
+        let Some(period) = self.season_for(history) else {
+            // No season: damped Holt on the raw series (trend + noise).
+            return Ok((self.trend_values(history, horizon)?, 1));
         };
+        let d = decompose_additive(history, period)?;
+        let n = history.len();
 
-        let m = holdout_mase(self, history, season.unwrap_or(1));
-        Ok(Forecast::new(self.name(), values, m))
+        // Trend: damped Holt on the extracted trend.
+        let trend =
+            self.trend_values(&TimeSeries::from_values(history.step(), d.trend)?, horizon)?;
+
+        // Remainder: AR(p), falling back to zeros when too short or
+        // structureless.
+        let remainder_series = TimeSeries::from_values(history.step(), d.remainder)?;
+        let remainder = ArForecaster::new(self.remainder_order)
+            .and_then(|ar| ar.forecast_signed(&remainder_series, horizon))
+            .unwrap_or_else(|_| vec![0.0; horizon]);
+
+        // Season: continue the periodic pattern.
+        let values = (0..horizon)
+            .map(|h| trend[h] + d.seasonal[(n + h) % period] + remainder[h])
+            .collect();
+        Ok((values, period))
     }
 }
 
 impl ArForecaster {
-    /// Like [`Forecaster::forecast`] but without the non-negativity clamp of
-    /// [`Forecast::new`] — decomposition remainders are naturally signed.
+    /// AR predictions for a signed series such as a decomposition
+    /// remainder. The model runs on the series shifted up so that its
+    /// minimum is at least 1; its values are clamped as a [`Forecast`]
+    /// clamps them, then shifted back. The clamp bites only on predictions
+    /// more than the shift below zero.
+    ///
+    /// [`Forecast`]: crate::methods::Forecast
     fn forecast_signed(
         &self,
         history: &TimeSeries,
         horizon: usize,
     ) -> Result<Vec<f64>, ForecastError> {
-        // Re-run the AR logic on a level-shifted series so the clamp in
-        // `Forecast::new` cannot bite, then shift back.
         let offset = history
             .values()
             .iter()
@@ -158,8 +161,11 @@ impl ArForecaster {
             + 1.0;
         let shifted: Vec<f64> = history.values().iter().map(|v| v + offset).collect();
         let shifted_series = TimeSeries::from_values(history.step(), shifted)?;
-        let fc = Forecaster::forecast(self, &shifted_series, horizon)?;
-        Ok(fc.values().iter().map(|v| v - offset).collect())
+        let (values, _) = self.predict(&shifted_series, horizon)?;
+        Ok(clamp_rates(values)
+            .into_iter()
+            .map(|v| v - offset)
+            .collect())
     }
 }
 
