@@ -242,9 +242,12 @@ impl Chamulteon {
     /// [`SnapshotError::Inconsistent`] when the snapshot's service count
     /// disagrees with `model`, an estimator window capacity differs from
     /// `config.demand_window`, its entry history fails validation, or a
-    /// decision record is one [`snapshot`](Chamulteon::snapshot) never
-    /// writes: a reactive decision, or one whose generation is ahead of
-    /// the snapshot's forecast generation.
+    /// decision or active-forecast record is one
+    /// [`snapshot`](Chamulteon::snapshot) never writes: a reactive
+    /// decision, or one whose generation is ahead of the snapshot's
+    /// forecast generation; an active forecast without an entry history,
+    /// made past its end, of another generation than the snapshot's, or
+    /// with a value that is not a finite, non-negative rate.
     pub fn restore(
         model: ApplicationModel,
         config: ChamulteonConfig,
@@ -272,6 +275,31 @@ impl Chamulteon {
                     d.service, d.origin
                 ),
             });
+        }
+        // The active forecast is the last one made: at a point of the
+        // entry history, together with the generation bump, with the
+        // finite, non-negative values of a `Forecast`.
+        if let Some(f) = &snapshot.active_forecast {
+            let problem = match &snapshot.entry_history {
+                None => Some("an active forecast without an entry history".to_owned()),
+                Some(h) if f.made_at > h.values.len() => Some(format!(
+                    "active forecast made at {} of a {}-point entry history",
+                    f.made_at,
+                    h.values.len()
+                )),
+                Some(_) if f.generation != generation => Some(format!(
+                    "active forecast of generation {} at forecast generation {generation}",
+                    f.generation
+                )),
+                Some(_) => f
+                    .values
+                    .iter()
+                    .find(|v| !(v.is_finite() && **v >= 0.0))
+                    .map(|v| format!("active forecast value {v} is not an arrival rate")),
+            };
+            if let Some(message) = problem {
+                return Err(SnapshotError::Inconsistent { message });
+            }
         }
         // Every per-service section holds `snapshot.services` entries:
         // `decode` checks it, and `snapshot` builds it that way.

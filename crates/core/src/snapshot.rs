@@ -749,6 +749,48 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_forecast_the_controller_cannot_have_made() {
+        let model = ApplicationModel::paper_benchmark();
+        let config = ChamulteonConfig::default();
+        let snapshot = controller_with_state().snapshot();
+        let forecast = snapshot.active_forecast.clone().expect("forecast is live");
+        let history = snapshot.entry_history.as_ref().expect("history is live");
+        assert!(Chamulteon::restore(model.clone(), config.clone(), &snapshot).is_ok());
+        let forge = |edit: &dyn Fn(&mut ControllerSnapshot, &mut ForecastState)| {
+            let mut forged = snapshot.clone();
+            let mut f = forecast.clone();
+            edit(&mut forged, &mut f);
+            forged.active_forecast = Some(f);
+            forged
+        };
+        let made_late = history.values.len() + 40;
+        let cases = [
+            (
+                "made past the end of the history",
+                forge(&|_, f| f.made_at = made_late),
+            ),
+            (
+                "without an entry history",
+                forge(&|s, _| s.entry_history = None),
+            ),
+            ("of a later generation", forge(&|_, f| f.generation += 3)),
+            ("of an earlier generation", forge(&|_, f| f.generation -= 1)),
+            ("with NaN values", forge(&|_, f| f.values.fill(f64::NAN))),
+            ("with negative values", forge(&|_, f| f.values.fill(-5.0))),
+        ];
+        for (what, forged) in cases {
+            let decoded = ControllerSnapshot::decode(&forged.encode()).expect("well-formed");
+            assert!(
+                matches!(
+                    Chamulteon::restore(model.clone(), config.clone(), &decoded),
+                    Err(SnapshotError::Inconsistent { .. })
+                ),
+                "a forecast {what} restored"
+            );
+        }
+    }
+
+    #[test]
     fn snapshot_is_a_pure_read() {
         // Same tick sequence with and without snapshots interleaved.
         let mut with_snapshots = controller_with_state();
