@@ -4,7 +4,7 @@
 //!
 //! Each tenant runs the full single-tenant measurement stack — its own
 //! [`Simulation`] over a phase-offset diurnal trace and its own scaler
-//! [`Driver`] — but instead of applying its per-service targets directly,
+//! `Driver` — but instead of applying its per-service targets directly,
 //! every scaling interval it aggregates them into one
 //! [`TenantProposal`] and submits it to the shared arbiter. The arbiter
 //! settles contention under the configured [`ArbitrationPolicy`], moves

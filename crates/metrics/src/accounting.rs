@@ -2,7 +2,7 @@
 //!
 //! The paper's metric taxonomy (§II-C2) names "cost, system, and
 //! user-oriented metrics"; §VI motivates the return-path extension with
-//! "sav[ing] instance time". These two numbers make both measurable:
+//! "sav\[ing\] instance time". These two numbers make both measurable:
 //!
 //! * [`instance_seconds`] — the resource bill in its rawest form: the
 //!   integral of the supply curve,

@@ -6,7 +6,7 @@
 //! (never written as `null`); a required float that is non-finite is
 //! written as `null` and read back as NaN. Both rules make
 //! emit → parse → re-emit the identity on the text, which the round-trip
-//! tests pin. Lines are written and read by the [`json`](crate::json)
+//! tests pin. Lines are written and read by the [`json`]
 //! codec.
 
 use crate::event::{ActuationOutcome, Event, EventKind, Provenance, Sizing, WarmAction, Winner};

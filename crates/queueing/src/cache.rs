@@ -11,8 +11,9 @@
 //!
 //! # Keying and error bound
 //!
-//! Each float input is bucketed by masking the low [`QUANT_BITS`] mantissa
-//! bits, i.e. buckets are `2^QUANT_BITS` ulps wide — a relative width of
+//! Each float input is bucketed by masking the low
+//! [`QUANT_BITS`](crate::cache::QUANT_BITS) mantissa bits, i.e. buckets are
+//! `2^QUANT_BITS` ulps wide — a relative width of
 //! `2^(QUANT_BITS − 52) = 2^-40`. The bucket corner is chosen
 //! *conservatively* per dimension: arrival rate and service demand round
 //! **up**, the response-time target rounds **down**, the quantile rounds
