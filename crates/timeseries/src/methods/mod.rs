@@ -93,9 +93,6 @@ pub trait Forecaster {
     /// scales their MASE: 1 for most methods, the period for seasonal
     /// methods, and for Telescope the season it used on `history`.
     ///
-    /// No method's values depend on its MASE, so this is all a method
-    /// computes.
-    ///
     /// # Errors
     ///
     /// Implementations return [`ForecastError::TooShort`] when the history

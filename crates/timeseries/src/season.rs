@@ -82,9 +82,9 @@ pub fn detect_season_length(series: &TimeSeries) -> Option<usize> {
         // The integer-frequency periodogram quantizes the period when the
         // series does not span a whole number of cycles; refine by scanning
         // the ACF in a ±20% window around the candidate for its maximum.
+        // Each lag is scored once, and the later lag wins a tie.
         let lo = (candidate * 4 / 5).max(2); // floor(0.8 · candidate)
         let hi = (candidate * 6).div_ceil(5).min(n / 2); // ceil(1.2 · candidate)
-                                                         // Each lag is scored once; on a tie the later lag wins.
         let (refined, acf) = (lo..=hi)
             .map(|lag| (lag, autocorrelation(values, lag)))
             .max_by(|a, b| a.1.total_cmp(&b.1))

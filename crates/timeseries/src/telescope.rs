@@ -72,9 +72,7 @@ impl TelescopeForecaster {
             None => detect_season_length(history),
         }
     }
-}
 
-impl TelescopeForecaster {
     /// The trend method's predictions on `series`, or the naive ones when
     /// the series is too short for it, clamped as a [`Forecast`] clamps
     /// them.

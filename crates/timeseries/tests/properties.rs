@@ -22,20 +22,6 @@ fn finite_series(min_len: usize, max_len: usize) -> impl Strategy<Value = Vec<f6
     prop::collection::vec(0.0f64..10_000.0, min_len..max_len)
 }
 
-fn all_methods() -> Vec<Box<dyn Forecaster>> {
-    vec![
-        Box::new(NaiveForecaster),
-        Box::new(SeasonalNaiveForecaster::new(4)),
-        Box::new(DriftForecaster),
-        Box::new(MeanForecaster::new()),
-        Box::new(SesForecaster::default()),
-        Box::new(HoltForecaster::default()),
-        Box::new(HoltWintersForecaster::with_period(4).unwrap()),
-        Box::new(ArForecaster::default()),
-        Box::new(TelescopeForecaster::default()),
-    ]
-}
-
 /// Every method with the season that scales its MASE on `history`.
 fn methods_with_seasons(history: &TimeSeries) -> Vec<(Box<dyn Forecaster>, usize)> {
     let detected = TelescopeForecaster::default();
@@ -188,7 +174,7 @@ proptest! {
         horizon in 1usize..30,
     ) {
         let ts = TimeSeries::from_values(60.0, values).unwrap();
-        for method in all_methods() {
+        for (method, _) in methods_with_seasons(&ts) {
             let fc = method
                 .forecast(&ts, horizon)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", method.name()));
