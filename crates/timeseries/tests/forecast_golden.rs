@@ -5,9 +5,10 @@
 //! corpus of histories, and over the error text where a method refuses a
 //! history. The corpus covers paper-vm-sized seasonal histories (period
 //! 180, 360–540 points), series shorter than 8 points, series with no
-//! season, and trending and plunging series. A change to the forecasting
-//! code must leave the digest unchanged unless it means to change what a
-//! forecast reports.
+//! season, trending and plunging series, and seasonal series that stop
+//! dead, where Telescope's trend forecast dips below zero before its
+//! clamp. A change to the forecasting code must leave the digest
+//! unchanged unless it means to change what a forecast reports.
 
 #![allow(
     clippy::unwrap_used,
@@ -129,6 +130,13 @@ fn corpus() -> Vec<Vec<f64>> {
         *v += 80.0;
     }
     histories.push(shifted);
+    // Seasonal series that stop dead: the trend forecast dips below zero,
+    // and its clamp shows in the recomposed values.
+    for (period, cycles, zeros) in [(24, 5, 40), (180, 2, 150)] {
+        let mut stopped = seasonal(&mut rng, period * cycles, period, 100.0, 40.0, 0.0, 4.0);
+        stopped.extend(vec![0.0; zeros]);
+        histories.push(stopped);
+    }
     histories
 }
 
@@ -183,7 +191,7 @@ fn every_forecaster_reproduces_its_digest() {
     }
     assert!(forecasts > 500, "the corpus must exercise the methods");
     assert_eq!(
-        digest, 0x02c7_c22c_7ebf_762f,
+        digest, 0x8e03_23be_f2bd_bf55,
         "forecast digest changed: {digest:#018x}"
     );
 }
