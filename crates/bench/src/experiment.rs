@@ -95,7 +95,7 @@ pub fn run_experiment_with_faults(
     fault_plan: Option<FaultPlan>,
     retry: &RetryPolicy,
 ) -> FaultedOutcome {
-    finalize_run(init_run(spec, kind, fault_plan), spec, retry)
+    run_experiment_recovered(spec, kind, fault_plan, retry, RecoveryPolicy::ColdRestart)
 }
 
 /// Like [`run_experiment_with_faults`], but with a [`RecoveryPolicy`]
@@ -116,8 +116,7 @@ pub fn run_experiment_recovered(
     retry: &RetryPolicy,
     recovery: RecoveryPolicy,
 ) -> FaultedOutcome {
-    let mut state = init_run(spec, kind, fault_plan);
-    state.recovery = recovery;
+    let state = init_run(spec, kind, fault_plan, recovery, &Obs::disabled());
     finalize_run(state, spec, retry)
 }
 
@@ -134,13 +133,19 @@ pub fn run_experiment_observed(
     retry: &RetryPolicy,
     obs: &Obs,
 ) -> FaultedOutcome {
-    finalize_run(init_run_observed(spec, kind, fault_plan, obs), spec, retry)
+    let state = init_run(spec, kind, fault_plan, RecoveryPolicy::ColdRestart, obs);
+    finalize_run(state, spec, retry)
 }
 
 /// A measurement run paused between scaling intervals: the simulation,
 /// the scaler driver, the harness's degradation record and the next
-/// interval index. [`advance_run`] moves it forward through a chosen
-/// interval; [`finalize_run`] runs it to the end and scores it.
+/// interval index. Every interval runs in two halves: [`decide`] advances
+/// the simulation, observes it and asks the scaler for targets;
+/// [`actuate`] applies them and takes the cadence checkpoint. Between the
+/// halves a coordinator may trim the targets — the multi-tenant loop runs
+/// one `RunState` per tenant in lockstep and fits each tenant's targets
+/// to the arbiter's grant there. [`finalize_run`] drives the remaining
+/// halves and scores the run.
 pub(crate) struct RunState {
     sim: Simulation,
     driver: Driver,
@@ -148,41 +153,43 @@ pub(crate) struct RunState {
     harness_log: DegradationLog,
     /// Trace/metrics sink shared with the driver; disabled on plain runs.
     obs: Obs,
-    /// 1-based index of the next scaling interval to process; past
-    /// `interval_count` (or `usize::MAX` after a degraded break) the
+    /// 1-based index of the next scaling interval to process; past the
+    /// trace's last interval (or `usize::MAX` after a degraded break) the
     /// measurement loop is done.
     next_k: usize,
     /// How a controller crash injected by the fault plan is recovered
-    /// from; [`RecoveryPolicy::ColdRestart`] (the default) also means no
-    /// checkpoints are ever taken, keeping crash-free runs bit-identical
-    /// to the pre-recovery harness.
+    /// from; [`RecoveryPolicy::ColdRestart`] also means no checkpoints
+    /// are ever taken, keeping crash-free runs bit-identical to the
+    /// plain runner.
     recovery: RecoveryPolicy,
     /// The latest checkpoint: the cycle it was taken after and the
     /// encoded controller snapshot.
     checkpoint: Option<(u64, String)>,
 }
 
-/// Number of scaling intervals a spec's measurement loop processes.
-pub(crate) fn interval_count(spec: &ExperimentSpec) -> usize {
-    (spec.trace.duration() / spec.scaling_interval).ceil() as usize
+/// One scaling interval between its decide and actuate halves.
+pub(crate) struct Cycle {
+    /// 1-based interval index.
+    pub(crate) k: usize,
+    /// Decision time: the interval's end, capped at the trace's.
+    pub(crate) t: f64,
+    /// Instances provisioned per service when the scaler decided.
+    pub(crate) provisioned: Vec<u32>,
+    /// Per-service targets, applied by [`actuate`].
+    pub(crate) targets: Vec<u32>,
+    /// Whether an injected crash restarted the controller this cycle.
+    pub(crate) restarted: bool,
 }
 
 /// Builds the simulation, initial placement, driver and warmup history —
-/// everything up to the first scaling interval.
+/// everything up to the first scaling interval. The trace/metrics sink
+/// goes to the driver and stays on the run state for the harness's own
+/// actuation, checkpoint and fault events.
 pub(crate) fn init_run(
     spec: &ExperimentSpec,
     kind: ScalerKind,
     fault_plan: Option<FaultPlan>,
-) -> RunState {
-    init_run_observed(spec, kind, fault_plan, &Obs::disabled())
-}
-
-/// [`init_run`] with a trace/metrics sink handed to the driver and kept
-/// on the run state for the harness's own actuation/fault events.
-pub(crate) fn init_run_observed(
-    spec: &ExperimentSpec,
-    kind: ScalerKind,
-    fault_plan: Option<FaultPlan>,
+    recovery: RecoveryPolicy,
     obs: &Obs,
 ) -> RunState {
     let nominal: Vec<f64> = spec
@@ -229,184 +236,176 @@ pub(crate) fn init_run_observed(
         harness_log: DegradationLog::new(),
         obs: obs.clone(),
         next_k: 1,
-        recovery: RecoveryPolicy::ColdRestart,
+        recovery,
         checkpoint: None,
     }
 }
 
-/// Advances the measurement loop up to and including interval
-/// `through_k` (clamped to the spec's interval count). Processing is
-/// identical to the original single-pass loop; a degraded break (clock
-/// error or trace ending mid-interval) marks the run done.
-pub(crate) fn advance_run(
+/// The decide half of the next scaling interval: runs the simulation to
+/// the interval's end, reads what monitoring reported, restarts the
+/// controller if the fault plan crashes it here, and asks the scaler for
+/// its targets. Returns `None` once the run is done — past the last
+/// interval, or after a degraded break (clock error or the trace ending
+/// mid-interval), which also marks the run done.
+pub(crate) fn decide(state: &mut RunState, spec: &ExperimentSpec) -> Option<Cycle> {
+    let k = state.next_k;
+    if k > (spec.trace.duration() / spec.scaling_interval).ceil() as usize {
+        return None;
+    }
+    let t = (k as f64 * spec.scaling_interval).min(spec.trace.duration());
+    if state.sim.run_until(t).is_err() {
+        state.next_k = usize::MAX; // unreachable with a monotone schedule; degrade, don't panic
+        return None;
+    }
+    let Some(observed) = state.sim.observe_interval(k - 1) else {
+        state.next_k = usize::MAX; // trace ended mid-interval
+        return None;
+    };
+    // An injected controller crash lands at the start of this cycle: the
+    // scaler process dies and its replacement takes over the decision —
+    // restored from the latest checkpoint when one exists, cold
+    // otherwise. The deployment itself keeps running.
+    let restarted = state.sim.controller_crash_at(k, t);
+    if restarted {
+        let (driver, warm) = Driver::restart(
+            state.kind,
+            &spec.model,
+            spec.hist_bucket,
+            state.obs.clone(),
+            state.checkpoint.as_ref().map(|(_, text)| text.as_str()),
+        );
+        state.driver = driver;
+        let checkpoint_cycle = if warm {
+            state.checkpoint.as_ref().map(|&(cycle, _)| cycle)
+        } else {
+            state.checkpoint = None; // unusable (or absent) checkpoint
+            None
+        };
+        state.obs.metrics().increment("controller.crashes");
+        state.obs.metrics().increment(if warm {
+            "controller.restores.warm"
+        } else {
+            "controller.restores.cold"
+        });
+        state.obs.record_with(|| {
+            Event::cycle(
+                t,
+                EventKind::Restore {
+                    cycle: u64::try_from(k).unwrap_or(u64::MAX),
+                    cold: !warm,
+                    checkpoint_cycle,
+                },
+            )
+        });
+    }
+    let provisioned: Vec<u32> = (0..spec.model.service_count())
+        .map(|s| state.sim.provisioned(s))
+        .collect();
+    let targets = state.driver.decide_observed(
+        t,
+        spec.scaling_interval,
+        &observed,
+        &provisioned,
+        spec.model.entry(),
+    );
+    state.next_k = k + 1;
+    Some(Cycle {
+        k,
+        t,
+        provisioned,
+        targets,
+        restarted,
+    })
+}
+
+/// The actuate half of `cycle`: applies each target, retrying failed
+/// commands under `retry` with backoff advancing the simulated clock (no
+/// retry crosses into the next scaling interval), then takes the cadence
+/// checkpoint.
+pub(crate) fn actuate(
     state: &mut RunState,
     spec: &ExperimentSpec,
     retry: &RetryPolicy,
-    through_k: usize,
+    cycle: &Cycle,
 ) {
-    let service_count = spec.model.service_count();
-    let entry = spec.model.entry();
-    let last = through_k.min(interval_count(spec));
-    while state.next_k <= last {
-        let k = state.next_k;
-        let t = (k as f64 * spec.scaling_interval).min(spec.trace.duration());
-        if state.sim.run_until(t).is_err() {
-            state.next_k = usize::MAX; // unreachable with a monotone schedule; degrade, don't panic
-            return;
-        }
-        let Some(observed) = state.sim.observe_interval(k - 1) else {
-            state.next_k = usize::MAX; // trace ended mid-interval
-            return;
-        };
-        // An injected controller crash lands at the start of this cycle:
-        // the scaler process dies and its replacement takes over the
-        // decision — restored from the latest checkpoint when one exists,
-        // cold otherwise. The deployment itself keeps running.
-        if state.sim.controller_crash_at(k, t) {
-            let (driver, warm) = Driver::restart(
-                state.kind,
-                &spec.model,
-                spec.hist_bucket,
-                state.obs.clone(),
-                state.checkpoint.as_ref().map(|(_, text)| text.as_str()),
-            );
-            state.driver = driver;
-            let checkpoint_cycle = if warm {
-                state.checkpoint.as_ref().map(|&(cycle, _)| cycle)
-            } else {
-                state.checkpoint = None; // unusable (or absent) checkpoint
-                None
+    let (k, t) = (cycle.k, cycle.t);
+    // Retries may not cross into the next scaling interval.
+    let deadline = ((k + 1) as f64 * spec.scaling_interval - 1e-6)
+        .min(spec.trace.duration())
+        .max(t);
+    let mut clock = t;
+    for (s, &target) in cycle.targets.iter().enumerate() {
+        let mut attempt = 0u32;
+        loop {
+            state.obs.metrics().increment("actuation.attempts");
+            let outcome = match state.sim.scale_to(s, target) {
+                Ok(()) => ActuationOutcome::Applied,
+                Err(_) if attempt + 1 < retry.max_attempts && clock < deadline => {
+                    ActuationOutcome::Retried
+                }
+                Err(_) => ActuationOutcome::Abandoned,
             };
-            state.obs.metrics().increment("controller.crashes");
-            state.obs.metrics().increment(if warm {
-                "controller.restores.warm"
-            } else {
-                "controller.restores.cold"
-            });
             state.obs.record_with(|| {
-                Event::cycle(
-                    t,
-                    EventKind::Restore {
-                        cycle: u64::try_from(k).unwrap_or(u64::MAX),
-                        cold: !warm,
-                        checkpoint_cycle,
+                Event::service(
+                    clock,
+                    s,
+                    EventKind::Actuation {
+                        target,
+                        outcome,
+                        attempt,
                     },
                 )
             });
-        }
-        let provisioned: Vec<u32> = (0..service_count)
-            .map(|s| state.sim.provisioned(s))
-            .collect();
-        let targets =
-            state
-                .driver
-                .decide_observed(t, spec.scaling_interval, &observed, &provisioned, entry);
-        // Retries may not cross into the next scaling interval.
-        let deadline = ((k + 1) as f64 * spec.scaling_interval - 1e-6)
-            .min(spec.trace.duration())
-            .max(t);
-        let mut clock = t;
-        for (s, &target) in targets.iter().enumerate() {
-            let mut attempt = 0u32;
-            loop {
-                state.obs.metrics().increment("actuation.attempts");
-                match state.sim.scale_to(s, target) {
-                    Ok(()) => {
-                        state.obs.record_with(|| {
-                            Event::service(
-                                clock,
-                                s,
-                                EventKind::Actuation {
-                                    target,
-                                    outcome: ActuationOutcome::Applied,
-                                    attempt,
-                                },
-                            )
-                        });
-                        break;
-                    }
-                    Err(_) if attempt + 1 < retry.max_attempts && clock < deadline => {
-                        state.obs.metrics().increment("actuation.retries");
-                        state.obs.metrics().increment("degradation.events");
-                        state.obs.record_with(|| {
-                            Event::service(
-                                clock,
-                                s,
-                                EventKind::Actuation {
-                                    target,
-                                    outcome: ActuationOutcome::Retried,
-                                    attempt,
-                                },
-                            )
-                        });
-                        let reason = DegradationReason::ActuationRetried {
-                            service: s,
-                            attempt,
-                        };
-                        state.obs.record_with(|| {
-                            Event::service(
-                                clock,
-                                s,
-                                EventKind::Degradation {
-                                    code: reason.as_code().to_owned(),
-                                    attempt: reason.attempt(),
-                                },
-                            )
-                        });
-                        state.harness_log.record(clock, reason);
-                        clock = (clock + retry.backoff(attempt).max(0.0)).min(deadline);
-                        if state.sim.run_until(clock).is_err() {
-                            break;
-                        }
-                        attempt += 1;
-                    }
-                    Err(_) => {
-                        state.obs.metrics().increment("actuation.abandoned");
-                        state.obs.metrics().increment("degradation.events");
-                        state.obs.record_with(|| {
-                            Event::service(
-                                clock,
-                                s,
-                                EventKind::Actuation {
-                                    target,
-                                    outcome: ActuationOutcome::Abandoned,
-                                    attempt,
-                                },
-                            )
-                        });
-                        let reason = DegradationReason::ActuationAbandoned { service: s };
-                        state.obs.record_with(|| {
-                            Event::service(
-                                clock,
-                                s,
-                                EventKind::Degradation {
-                                    code: reason.as_code().to_owned(),
-                                    attempt: reason.attempt(),
-                                },
-                            )
-                        });
-                        state.harness_log.record(clock, reason);
-                        break;
+            let reason = match outcome {
+                ActuationOutcome::Applied => break,
+                ActuationOutcome::Retried => {
+                    state.obs.metrics().increment("actuation.retries");
+                    DegradationReason::ActuationRetried {
+                        service: s,
+                        attempt,
                     }
                 }
+                ActuationOutcome::Abandoned => {
+                    state.obs.metrics().increment("actuation.abandoned");
+                    DegradationReason::ActuationAbandoned { service: s }
+                }
+            };
+            state.obs.metrics().increment("degradation.events");
+            state.obs.record_with(|| {
+                Event::service(
+                    clock,
+                    s,
+                    EventKind::Degradation {
+                        code: reason.as_code().to_owned(),
+                        attempt: reason.attempt(),
+                    },
+                )
+            });
+            state.harness_log.record(clock, reason);
+            if outcome == ActuationOutcome::Abandoned {
+                break;
             }
-        }
-        // Checkpoint cadence: after every `cadence`-th cycle the driver's
-        // controller state is snapshotted (a pure read — pinned by the
-        // core snapshot tests), so the next crash restores from here.
-        let every = state.recovery.checkpoint_every();
-        if every > 0 && k.is_multiple_of(every) {
-            if let Some(text) = state.driver.snapshot_encoded() {
-                let bytes = u64::try_from(text.len()).unwrap_or(u64::MAX);
-                let cycle = u64::try_from(k).unwrap_or(u64::MAX);
-                state.obs.metrics().increment("controller.checkpoints");
-                state
-                    .obs
-                    .record_with(|| Event::cycle(t, EventKind::Checkpoint { cycle, bytes }));
-                state.checkpoint = Some((cycle, text));
+            clock = (clock + retry.backoff(attempt).max(0.0)).min(deadline);
+            if state.sim.run_until(clock).is_err() {
+                break;
             }
+            attempt += 1;
         }
-        state.next_k = k + 1;
+    }
+    // Checkpoint cadence: after every `cadence`-th cycle the driver's
+    // controller state is snapshotted (a pure read — pinned by the core
+    // snapshot tests), so the next crash restores from here.
+    let every = state.recovery.checkpoint_every();
+    if every > 0 && k.is_multiple_of(every) {
+        if let Some(text) = state.driver.snapshot_encoded() {
+            let bytes = u64::try_from(text.len()).unwrap_or(u64::MAX);
+            let cycle = u64::try_from(k).unwrap_or(u64::MAX);
+            state.obs.metrics().increment("controller.checkpoints");
+            state
+                .obs
+                .record_with(|| Event::cycle(t, EventKind::Checkpoint { cycle, bytes }));
+            state.checkpoint = Some((cycle, text));
+        }
     }
 }
 
@@ -418,7 +417,9 @@ pub(crate) fn finalize_run(
     spec: &ExperimentSpec,
     retry: &RetryPolicy,
 ) -> FaultedOutcome {
-    advance_run(&mut state, spec, retry, usize::MAX - 1);
+    while let Some(cycle) = decide(&mut state, spec) {
+        actuate(&mut state, spec, retry, &cycle);
+    }
     let RunState {
         mut sim,
         mut driver,
@@ -523,13 +524,22 @@ mod tests {
 
     #[test]
     fn split_run_matches_single_pass() {
-        // Advancing in two arbitrary chunks and finalizing is identical to
-        // the one-shot runner.
+        // Driving the first intervals' halves by hand, then finalizing, is
+        // identical to the one-shot runner.
         let spec = smoke_test();
         let retry = chamulteon::RetryPolicy::default();
-        let mut state = init_run(&spec, ScalerKind::Adapt, None);
-        advance_run(&mut state, &spec, &retry, 3);
-        advance_run(&mut state, &spec, &retry, 11);
+        let mut state = init_run(
+            &spec,
+            ScalerKind::Adapt,
+            None,
+            RecoveryPolicy::ColdRestart,
+            &Obs::disabled(),
+        );
+        for k in 1..=11 {
+            let cycle = decide(&mut state, &spec).expect("interval within the trace");
+            assert_eq!(cycle.k, k);
+            actuate(&mut state, &spec, &retry, &cycle);
+        }
         let split = finalize_run(state, &spec, &retry);
         let single = run_experiment_with_faults(&spec, ScalerKind::Adapt, None, &retry);
         assert_eq!(split.outcome.result, single.outcome.result);

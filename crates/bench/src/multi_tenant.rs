@@ -2,21 +2,22 @@
 //! instance budget through the [`ClusterArbiter`] and its cross-tenant
 //! warm pool.
 //!
-//! Each tenant runs the full single-tenant measurement stack — its own
-//! [`Simulation`] over a phase-offset diurnal trace and its own scaler
-//! `Driver` — but instead of applying its per-service targets directly,
-//! every scaling interval it aggregates them into one
-//! [`TenantProposal`] and submits it to the shared arbiter. The arbiter
-//! settles contention under the configured [`ArbitrationPolicy`], moves
+//! Each tenant is one run of the single-tenant measurement loop — its own
+//! simulation over a phase-offset diurnal trace and its own scaler — and
+//! the K runs advance in lockstep, one scaling interval at a time. Between
+//! a run's decide and actuate halves, instead of applying its per-service
+//! targets directly, the tenant aggregates them into one
+//! [`TenantProposal`] for the shared arbiter. The arbiter settles
+//! contention under the configured [`ArbitrationPolicy`], moves
 //! still-paid releases into the warm pool, and hands back a granted total
 //! the tenant must fit its services into (largest targets are trimmed
-//! first, deterministically).
+//! first, deterministically) before its actuate half applies them.
 //!
-//! The phase offsets are the point of the exercise: tenant `i`'s source
-//! day is rotated by `i/K` of a day before compression, so one tenant's
-//! peak decays exactly as the next one's builds — the traffic pattern
-//! under which FOX-style warm transfers pay off, because the instances
-//! tenant A releases are still paid when tenant B wants them.
+//! The phase offsets are the point of the exercise: tenant `i`'s trace is
+//! rotated by `i/K` of a day, so one tenant's peak decays exactly as the
+//! next one's builds — the traffic pattern under which FOX-style warm
+//! transfers pay off, because the instances tenant A releases are still
+//! paid when tenant B wants them.
 //!
 //! The arbiter models the *cluster ledger* (lease lifetimes, billing
 //! attribution, the budget invariant); each tenant's simulator models its
@@ -24,29 +25,18 @@
 //! draws therefore change who pays, not how fast capacity arrives —
 //! folding the warm pool into provisioning latency is future work.
 
-use crate::drivers::{Driver, ScalerKind};
-use chamulteon::{ArbitrationPolicy, ChargingModel, ClusterArbiter, ClusterEvent, TenantProposal};
+use crate::drivers::ScalerKind;
+use crate::experiment::{actuate, decide, finalize_run, init_run, Cycle, ExperimentSpec};
+use crate::setups::build_trace;
+use chamulteon::{
+    ArbitrationPolicy, ChargingModel, ClusterArbiter, ClusterEvent, RetryPolicy, TenantProposal,
+};
 use chamulteon_obs::json::Writer;
 use chamulteon_obs::{Event, EventKind, Obs, WarmAction};
 use chamulteon_perfmodel::ApplicationModel;
-use chamulteon_queueing::capacity::min_instances_for_utilization;
-use chamulteon_sim::RecoveryPolicy;
-use chamulteon_sim::{DeploymentProfile, Simulation, SimulationConfig, SloPolicy};
-use chamulteon_workload::generators::{
-    bibsonomy_like, peak_rate_for_total_instances, wikipedia_like,
-};
+use chamulteon_sim::{DeploymentProfile, FaultPlan, RecoveryPolicy, SloPolicy};
+use chamulteon_workload::generators::{bibsonomy_like, wikipedia_like};
 use chamulteon_workload::LoadTrace;
-
-/// Seconds in the synthetic source day before compression (mirrors
-/// `setups`).
-const SOURCE_DAY: f64 = 86_400.0;
-/// Source sampling step of the generators (mirrors `setups`).
-const SOURCE_STEP: f64 = 60.0;
-/// The paper's per-service demands (mirrors `setups`).
-const DEMANDS: [f64; 3] = [0.059, 0.1, 0.04];
-/// Target utilization translating "peak instances" into a peak rate
-/// (mirrors `setups`).
-const SIZING_RHO: f64 = 0.8;
 
 /// One multi-tenant cluster scenario: K tenants, one budget, one policy.
 #[derive(Debug, Clone)]
@@ -116,7 +106,7 @@ impl MultiTenantSpec {
 }
 
 /// One tenant's scored outcome of a multi-tenant run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     /// The tenant index.
     pub tenant: usize,
@@ -257,42 +247,35 @@ impl MultiTenantOutcome {
     }
 }
 
-/// One tenant's live state inside the measurement loop.
-struct TenantRun {
-    sim: Simulation,
-    driver: Driver,
-    weight: f64,
-    /// Set when the tenant's trace ended mid-interval; it then stops
-    /// proposing (the arbiter treats a silent tenant as holding).
-    done: bool,
-    requested: u64,
-    granted: u64,
-    drawn_warm: u64,
-    opened_cold: u64,
-    deposited: u64,
-    closed: u64,
-}
-
-/// Builds tenant `index`'s trace: the shared source day rotated by
-/// `index/K` of a day (so peaks are evenly staggered), compressed into
-/// the experiment duration and scaled to the tenant's peak sizing.
-/// Tenants alternate between the Wikipedia-like and BibSonomy-like
-/// generators so the cluster mixes smooth and bursty shapes.
-fn tenant_trace(spec: &MultiTenantSpec, index: usize) -> LoadTrace {
+/// Tenant `index`'s single-tenant experiment: the paper application on
+/// Docker under the default SLO, seeded `seed + 100 + index`, over a
+/// trace built like the paper setups' and rotated by `index/K` of a day
+/// (so peaks are evenly staggered). Tenants alternate between the
+/// Wikipedia-like and BibSonomy-like generators so the cluster mixes
+/// smooth and bursty shapes.
+fn tenant_spec(spec: &MultiTenantSpec, index: usize) -> ExperimentSpec {
     let generator = if index.is_multiple_of(2) {
         wikipedia_like
     } else {
         bibsonomy_like
     };
-    let day = generator(
+    let trace = build_trace(
+        generator,
         spec.seed.wrapping_add(index as u64),
-        SOURCE_STEP,
-        SOURCE_DAY,
+        spec.duration,
+        spec.peak_instances,
     );
-    let rotated = rotate_trace(&day, index, spec.tenants.max(1));
-    let compressed = rotated.compress_to(spec.duration);
-    let peak_rate = peak_rate_for_total_instances(spec.peak_instances, &DEMANDS, SIZING_RHO);
-    compressed.scale_to_peak(peak_rate)
+    ExperimentSpec {
+        name: format!("{} tenant {index}", spec.name),
+        trace: rotate_trace(&trace, index, spec.tenants.max(1)),
+        model: ApplicationModel::paper_benchmark(),
+        profile: DeploymentProfile::docker(),
+        slo: SloPolicy::default(),
+        scaling_interval: spec.scaling_interval,
+        seed: spec.seed.wrapping_add(100 + index as u64),
+        warmup_days: spec.warmup_days,
+        hist_bucket: spec.hist_bucket,
+    }
 }
 
 /// Rotates a trace left by `index/count` of its length, preserving step
@@ -313,58 +296,6 @@ fn rotate_trace(trace: &LoadTrace, index: usize, count: usize) -> LoadTrace {
     // Same step and sample count as the input, so reconstruction cannot
     // fail; fall back to the unrotated trace rather than panic.
     LoadTrace::new(trace.step(), rates).unwrap_or_else(|_| trace.clone())
-}
-
-/// Builds one tenant's simulator and scaler, mirroring the single-tenant
-/// harness init: fair initial placement at 60% utilization, then warmup
-/// history for the proactive cycle.
-fn init_tenant(
-    spec: &MultiTenantSpec,
-    model: &ApplicationModel,
-    trace: &LoadTrace,
-    index: usize,
-    obs: &Obs,
-) -> TenantRun {
-    let config = SimulationConfig::new(
-        DeploymentProfile::docker(),
-        SloPolicy::default(),
-        spec.seed.wrapping_add(100 + index as u64),
-    )
-    .with_monitoring_interval(spec.scaling_interval);
-    let mut sim = Simulation::new(model, trace, config);
-
-    let rate0 = trace.rate_at(0.0);
-    let visit_ratios = model.visit_ratios();
-    for (s, (service, &visits)) in model.services().iter().zip(&visit_ratios).enumerate() {
-        let n0 = min_instances_for_utilization(rate0 * visits, service.nominal_demand(), 0.6);
-        let _ = sim.set_supply(s, n0); // s < service_count by construction
-    }
-
-    let mut driver =
-        Driver::new_observed(ScalerKind::Chamulteon, model, spec.hist_bucket, obs.clone());
-    if spec.warmup_days > 0 {
-        if let Ok(day) = trace.resample(spec.scaling_interval) {
-            let mut rates = Vec::with_capacity(day.len() * spec.warmup_days);
-            for _ in 0..spec.warmup_days {
-                rates.extend_from_slice(day.rates());
-            }
-            driver.preload_history(spec.scaling_interval, &rates);
-        }
-    }
-
-    TenantRun {
-        sim,
-        driver,
-        // Descending weights: tenant 0 is the highest-priority workload.
-        weight: (spec.tenants.saturating_sub(index)) as f64,
-        done: false,
-        requested: 0,
-        granted: 0,
-        drawn_warm: 0,
-        opened_cold: 0,
-        deposited: 0,
-        closed: 0,
-    }
 }
 
 /// Trims per-service targets down to a granted total: while the sum
@@ -456,7 +387,8 @@ fn emit_cluster_events(
 
 /// One injected tenant-controller crash: at the start of arbitration
 /// cycle `cycle` (1-based), tenant `tenant`'s controller process dies and
-/// its replacement takes over the decision.
+/// its replacement takes over the decision. It reaches the tenant's run
+/// as a one-window controller-crash fault plan.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantCrash {
     /// 1-based arbitration cycle the crash lands on.
@@ -474,31 +406,46 @@ pub fn run_multi_tenant(spec: &MultiTenantSpec, obs: &Obs) -> MultiTenantOutcome
 }
 
 /// [`run_multi_tenant`] with crash recovery: under
-/// [`RecoveryPolicy::Checkpoint`] the harness snapshots the crashed
-/// tenant's controller *and* the cluster arbiter (lease books, warm pool,
-/// billed ledger) every `cadence` cycles; an injected [`TenantCrash`]
-/// then restores both from the latest checkpoint. Because the arbiter
-/// snapshot carries the warm pool with original start times, a transfer
-/// in flight at the crash is neither orphaned (its lease survives in the
-/// restored pool) nor double-billed (the restored ledger is the one the
-/// bill was already posted to). With no crash the outcome is
-/// bit-identical to the plain run: snapshots are pure reads.
+/// [`RecoveryPolicy::Checkpoint`] every tenant's run checkpoints its
+/// controller and the coordinator snapshots the cluster arbiter (lease
+/// books, warm pool, billed ledger) every `cadence` cycles; an injected
+/// [`TenantCrash`] then restores both from the latest checkpoint. Because
+/// the arbiter snapshot carries the warm pool with original start times,
+/// a transfer in flight at the crash is neither orphaned (its lease
+/// survives in the restored pool) nor double-billed (the restored ledger
+/// is the one the bill was already posted to). With no crash the outcome
+/// is bit-identical to the plain run: snapshots are pure reads.
 pub fn run_multi_tenant_recovered(
     spec: &MultiTenantSpec,
     obs: &Obs,
     recovery: RecoveryPolicy,
     crash: Option<TenantCrash>,
 ) -> MultiTenantOutcome {
-    let model = ApplicationModel::paper_benchmark();
-    let entry = model.entry();
-    let service_count = model.service_count();
-
-    let traces: Vec<LoadTrace> = (0..spec.tenants).map(|i| tenant_trace(spec, i)).collect();
-    let mut runs: Vec<TenantRun> = traces
-        .iter()
-        .enumerate()
-        .map(|(i, trace)| init_tenant(spec, &model, trace, i, obs))
+    // Each tenant: its experiment, its run of the measurement loop and
+    // its tallies.
+    let mut tenants: Vec<_> = (0..spec.tenants)
+        .map(|i| {
+            let tenant = tenant_spec(spec, i);
+            let plan = crash
+                .filter(|c| c.tenant == i)
+                .map(|c| FaultPlan::new(tenant.seed).crash_controller(c.cycle, 0.0, f64::MAX, 1.0));
+            let run = init_run(&tenant, ScalerKind::Chamulteon, plan, recovery, obs);
+            let report = TenantReport {
+                tenant: i,
+                // Descending weights: tenant 0 is the highest-priority workload.
+                weight: (spec.tenants.saturating_sub(i)) as f64,
+                ..TenantReport::default()
+            };
+            (tenant, run, report)
+        })
         .collect();
+    // Actuation cannot fail without an actuation fault in the plan.
+    let retry = RetryPolicy::no_retries();
+    let sum = |counts: &[u32]| {
+        counts
+            .iter()
+            .fold(0u32, |total, &n| total.saturating_add(n))
+    };
 
     let mut arbiter = ClusterArbiter::new(
         spec.charging.clone(),
@@ -510,106 +457,53 @@ pub fn run_multi_tenant_recovered(
     let mut warm_draws = 0u64;
     let mut warm_deposits = 0u64;
     let mut warm_expiries = 0u64;
-    // Latest coordinator checkpoint under `RecoveryPolicy::Checkpoint`:
-    // the cycle it was taken after, the arbiter snapshot (lease books,
-    // warm pool, billed ledger) and every tenant's encoded controller.
-    let mut checkpoint: Option<(u64, String, Vec<Option<String>>)> = None;
+    // The arbiter's latest checkpoint under `RecoveryPolicy::Checkpoint`;
+    // each tenant's run keeps its own controller checkpoint.
+    let mut checkpoint: Option<String> = None;
 
     let intervals = (spec.duration / spec.scaling_interval).ceil() as usize;
     for k in 1..=intervals {
         let t = (k as f64 * spec.scaling_interval).min(spec.duration);
 
-        // An injected coordinator crash lands at the start of this cycle:
-        // the tenant's controller dies with the arbiter's in-memory state.
-        // With a checkpoint both are restored from it — the warm pool
-        // comes back with its original start times, so in-flight
-        // transfers stay attributed; without one the controller restarts
-        // cold (the deployment itself keeps running either way).
-        if let Some(plan) = crash {
-            if plan.cycle == k && plan.tenant < runs.len() {
-                let snapshot = checkpoint
-                    .as_ref()
-                    .and_then(|(_, _, drivers)| drivers.get(plan.tenant))
-                    .cloned()
-                    .flatten();
-                let (driver, mut warm) = Driver::restart(
-                    ScalerKind::Chamulteon,
-                    &model,
-                    spec.hist_bucket,
-                    obs.clone(),
-                    snapshot.as_deref(),
-                );
-                if let Some(run) = runs.get_mut(plan.tenant) {
-                    run.driver = driver;
-                }
-                if let Some((_, arbiter_snapshot, _)) = checkpoint.as_ref() {
-                    match ClusterArbiter::restore(arbiter_snapshot) {
-                        Ok(restored) => arbiter = restored,
-                        Err(_) => warm = false, // unusable checkpoint
-                    }
-                }
-                let checkpoint_cycle = if warm {
-                    checkpoint.as_ref().map(|&(cycle, ..)| cycle)
-                } else {
-                    None
-                };
-                obs.record_with(|| {
-                    Event::cycle(
-                        t,
-                        EventKind::Restore {
-                            cycle: u64::try_from(k).unwrap_or(u64::MAX),
-                            cold: !warm,
-                            checkpoint_cycle,
-                        },
-                    )
-                });
-            }
-        }
-
-        // Phase 1: every live tenant decides what it wants.
+        // Decide half: every live tenant decides what it wants.
         let mut proposals: Vec<TenantProposal> = Vec::with_capacity(spec.tenants);
-        let mut desires: Vec<(usize, Vec<u32>)> = Vec::with_capacity(spec.tenants);
-        for (i, run) in runs.iter_mut().enumerate() {
-            if run.done {
-                continue;
-            }
-            if run.sim.run_until(t).is_err() {
-                run.done = true; // unreachable with a monotone schedule
-                continue;
-            }
-            let Some(observed) = run.sim.observe_interval(k - 1) else {
-                run.done = true; // trace ended mid-interval
-                continue;
+        let mut cycles: Vec<(usize, Cycle)> = Vec::with_capacity(spec.tenants);
+        let mut restarted = false;
+        for (i, (tenant, run, report)) in tenants.iter_mut().enumerate() {
+            let Some(cycle) = decide(run, tenant) else {
+                continue; // a finished tenant holds (the arbiter sees no proposal)
             };
-            let provisioned: Vec<u32> =
-                (0..service_count).map(|s| run.sim.provisioned(s)).collect();
-            let targets = run.driver.decide_observed(
-                t,
-                spec.scaling_interval,
-                &observed,
-                &provisioned,
-                entry,
-            );
-            let desired = targets
-                .iter()
-                .fold(0u32, |total, &target| total.saturating_add(target));
-            let held: u32 = provisioned
-                .iter()
-                .fold(0u32, |total, &n| total.saturating_add(n));
+            restarted |= cycle.restarted;
+            let desired = sum(&cycle.targets);
+            let weight = report.weight;
             // Marginal-gain proxy for the cost-greedy policy: how
             // under-provisioned the tenant is, weighted by its priority —
             // the deficit an extra instance would eat into.
-            let slo_gain = f64::from(desired.saturating_sub(held)) * run.weight;
+            let slo_gain = f64::from(desired.saturating_sub(sum(&cycle.provisioned))) * weight;
             proposals.push(TenantProposal {
                 tenant: i,
                 desired,
-                weight: run.weight,
+                weight,
                 slo_gain,
             });
-            desires.push((i, targets));
+            cycles.push((i, cycle));
         }
 
-        // Phase 2: one arbitration cycle over the shared budget.
+        // A crashed controller lost the arbiter's in-memory state with it:
+        // restore the arbiter from its checkpoint, so the warm pool comes
+        // back with its original start times and in-flight transfers stay
+        // attributed. Without a usable checkpoint the live arbiter keeps
+        // the books.
+        if restarted {
+            if let Some(restored) = checkpoint
+                .as_deref()
+                .and_then(|text| ClusterArbiter::restore(text).ok())
+            {
+                arbiter = restored;
+            }
+        }
+
+        // One arbitration cycle over the shared budget.
         let verdicts = arbiter.arbitrate(t, &proposals);
         peak_in_use = peak_in_use.max(arbiter.in_use());
         emit_cluster_events(
@@ -620,8 +514,8 @@ pub fn run_multi_tenant_recovered(
             &mut warm_expiries,
         );
 
-        // Phase 3: each tenant applies its targets under the grant.
-        for (verdict, (tenant, targets)) in verdicts.iter().zip(desires.iter_mut()) {
+        // Actuate half: each tenant applies its targets under the grant.
+        for (verdict, (i, cycle)) in verdicts.iter().zip(&mut cycles) {
             obs.record_with(|| {
                 Event::cycle(
                     t,
@@ -639,61 +533,38 @@ pub fn run_multi_tenant_recovered(
                     },
                 )
             });
-            let Some(run) = runs.get_mut(*tenant) else {
+            let Some((tenant, run, report)) = tenants.get_mut(*i) else {
                 continue;
             };
-            run.requested += u64::from(verdict.requested);
-            run.granted += u64::from(verdict.granted);
-            run.drawn_warm += u64::from(verdict.drawn_warm);
-            run.opened_cold += u64::from(verdict.opened_cold);
-            run.deposited += u64::from(verdict.deposited);
-            run.closed += u64::from(verdict.closed);
-            fit_targets(targets, verdict.granted);
-            for (s, &target) in targets.iter().enumerate() {
-                // Actuation cannot fail without a fault plan; a failure
-                // would simply leave the previous supply standing.
-                let _ = run.sim.scale_to(s, target);
-            }
+            report.requested += u64::from(verdict.requested);
+            report.granted += u64::from(verdict.granted);
+            report.drawn_warm += u64::from(verdict.drawn_warm);
+            report.opened_cold += u64::from(verdict.opened_cold);
+            report.deposited += u64::from(verdict.deposited);
+            report.closed += u64::from(verdict.closed);
+            fit_targets(&mut cycle.targets, verdict.granted);
+            actuate(run, tenant, &retry, cycle);
         }
 
-        // Checkpoint cadence: after every `cadence`-th cycle the
-        // coordinator state — the arbiter and every controller — is
-        // snapshotted (pure reads), so the next crash restores from here.
+        // The arbiter's checkpoint (a pure read) follows the cadence of
+        // the tenants' controller checkpoints.
         let every = recovery.checkpoint_every();
         if every > 0 && k.is_multiple_of(every) {
-            let drivers: Vec<Option<String>> = runs
-                .iter()
-                .map(|run| run.driver.snapshot_encoded())
-                .collect();
-            checkpoint = Some((
-                u64::try_from(k).unwrap_or(u64::MAX),
-                arbiter.snapshot(),
-                drivers,
-            ));
+            checkpoint = Some(arbiter.snapshot());
         }
     }
 
-    // Finalization: drain each tenant's simulation and score it; billing
-    // comes from the arbiter's origin-attributed ledger.
-    let tenants: Vec<TenantReport> = runs
+    // Score each tenant's run; billing comes from the arbiter's
+    // origin-attributed ledger.
+    let tenants = tenants
         .into_iter()
-        .enumerate()
-        .map(|(i, mut run)| {
-            let _ = run.sim.run_until(spec.duration);
-            let result = run.sim.finish();
-            TenantReport {
-                tenant: i,
-                weight: run.weight,
-                requested: run.requested,
-                granted: run.granted,
-                drawn_warm: run.drawn_warm,
-                opened_cold: run.opened_cold,
-                deposited: run.deposited,
-                closed: run.closed,
-                billed_instance_seconds: arbiter.billed_instance_seconds(i, spec.duration),
-                slo_violations: result.slo_violation_percent(),
-                apdex: result.apdex_percent(),
-            }
+        .map(|(tenant, run, mut report)| {
+            let scored = finalize_run(run, &tenant, &retry).outcome.report;
+            report.billed_instance_seconds =
+                arbiter.billed_instance_seconds(report.tenant, spec.duration);
+            report.slo_violations = scored.slo_violations;
+            report.apdex = scored.apdex;
+            report
         })
         .collect();
 
@@ -839,7 +710,7 @@ mod tests {
 
     #[test]
     fn rotated_traces_keep_mass_and_shift_the_peak() {
-        let day = wikipedia_like(7, SOURCE_STEP, SOURCE_DAY);
+        let day = wikipedia_like(7, 60.0, 86_400.0);
         let rotated = rotate_trace(&day, 1, 3);
         assert_eq!(rotated.len(), day.len());
         assert!((rotated.mean_rate() - day.mean_rate()).abs() < 1e-9 * day.mean_rate().abs());

@@ -180,6 +180,41 @@ mod tests {
     }
 
     #[test]
+    fn chamulteon_has_the_best_slo_and_apdex_on_every_paper_table() {
+        // The headline shape of Tables II–V, on the full setups: the
+        // narrowest margins are SLO on Table V and Apdex on Table II.
+        use crate::setups::{bibsonomy_large, bibsonomy_small, wikipedia_docker, wikipedia_vm};
+        for spec in [
+            wikipedia_docker(),
+            wikipedia_vm(),
+            bibsonomy_small(),
+            bibsonomy_large(),
+        ] {
+            let reports = run_lineup(&spec);
+            let (chamulteon, rest) = reports.split_first().expect("five scalers");
+            assert_eq!(chamulteon.scaler, "chamulteon");
+            for other in rest {
+                assert!(
+                    chamulteon.slo_violations < other.slo_violations,
+                    "{}: SLO {} vs {} {}",
+                    spec.name,
+                    chamulteon.slo_violations,
+                    other.scaler,
+                    other.slo_violations
+                );
+                assert!(
+                    chamulteon.apdex > other.apdex,
+                    "{}: Apdex {} vs {} {}",
+                    spec.name,
+                    chamulteon.apdex,
+                    other.scaler,
+                    other.apdex
+                );
+            }
+        }
+    }
+
+    #[test]
     fn paper_tables_have_five_scalers_each() {
         for table in [&TABLE2, &TABLE3, &TABLE4, &TABLE5] {
             assert_eq!(table.len(), 5);

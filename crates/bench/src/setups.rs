@@ -33,7 +33,7 @@ fn paper_model() -> ApplicationModel {
 /// Builds a compressed, rescaled trace: one synthetic day squeezed into
 /// `experiment_duration` seconds, peak-sized so the whole application needs
 /// about `peak_instances` instances at the top.
-fn build_trace(
+pub(crate) fn build_trace(
     generator: fn(u64, f64, f64) -> LoadTrace,
     seed: u64,
     experiment_duration: f64,

@@ -7,7 +7,7 @@ use chamulteon::RetryPolicy;
 use chamulteon_bench::robustness::FaultClass;
 use chamulteon_bench::setups::smoke_test;
 use chamulteon_bench::{run_experiment_observed, run_experiment_with_faults, ScalerKind};
-use chamulteon_obs::{EventKind, Obs};
+use chamulteon_obs::{ActuationOutcome, EventKind, Obs};
 use proptest::prelude::*;
 
 proptest! {
@@ -88,4 +88,45 @@ fn instrumented_baseline_is_bit_identical() {
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::Actuation { .. })));
+}
+
+/// The actuation counters count what the harness's retry loop did: one
+/// attempt per traced `actuation` event, one retry per `retried` event
+/// and one abandon per `abandoned` event.
+#[test]
+fn actuation_counters_match_the_traced_actuation_events() {
+    let spec = smoke_test();
+    let plan =
+        FaultClass::ActuationFailures.plan(spec.seed, spec.trace.duration(), spec.scaling_interval);
+    let (obs, ring) = Obs::recording(1 << 18);
+    run_experiment_observed(
+        &spec,
+        ScalerKind::Chamulteon,
+        Some(plan),
+        &RetryPolicy::default(),
+        &obs,
+    );
+    let events = ring.take();
+    assert_eq!(ring.dropped(), 0);
+    let outcomes: Vec<ActuationOutcome> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Actuation { outcome, .. } => Some(outcome),
+            _ => None,
+        })
+        .collect();
+    let traced = |outcome| outcomes.iter().filter(|&&o| o == outcome).count() as u64;
+    let counted = |name| obs.metrics().counter_value(name).unwrap_or(0);
+    assert_eq!(counted("actuation.attempts"), outcomes.len() as u64);
+    assert_eq!(
+        counted("actuation.retries"),
+        traced(ActuationOutcome::Retried)
+    );
+    assert_eq!(
+        counted("actuation.abandoned"),
+        traced(ActuationOutcome::Abandoned)
+    );
+    // The fault class exercises both failure branches of the loop.
+    assert!(traced(ActuationOutcome::Retried) > 0);
+    assert!(traced(ActuationOutcome::Abandoned) > 0);
 }

@@ -219,7 +219,9 @@ impl DegradationLog {
 }
 
 /// Bounded retry with capped exponential backoff for transient actuation
-/// failures (ladder rung 6).
+/// failures (ladder rung 6). The policy sizes the budget and the
+/// backoffs; the experiment harness runs the retry loop, advancing its
+/// simulated clock by [`backoff`](RetryPolicy::backoff) between attempts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per command, including the first (≥ 1).
@@ -294,50 +296,6 @@ impl RetryPolicy {
             raw.min(cap)
         } else {
             cap
-        }
-    }
-
-    /// Runs `op` up to [`max_attempts`](RetryPolicy::max_attempts) times,
-    /// passing the 0-based attempt number. Returns the number of attempts
-    /// used on success, or the last error once the budget is exhausted.
-    /// No pause happens between attempts — callers that need to advance a
-    /// simulated clock interleave [`backoff`](RetryPolicy::backoff)
-    /// themselves.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `op`'s final error after `max_attempts` failures.
-    pub fn run<E>(&self, op: impl FnMut(u32) -> Result<(), E>) -> Result<u32, E> {
-        self.run_observed(&chamulteon_obs::DISABLED_METRICS, op)
-    }
-
-    /// [`run`](RetryPolicy::run), additionally feeding the obs metrics
-    /// registry: `actuation.attempts` counts every call of `op`,
-    /// `actuation.retries` every failed attempt that gets another try,
-    /// and `actuation.abandoned` every command that exhausts the budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `op`'s final error after `max_attempts` failures.
-    pub fn run_observed<E>(
-        &self,
-        metrics: &chamulteon_obs::MetricsRegistry,
-        mut op: impl FnMut(u32) -> Result<(), E>,
-    ) -> Result<u32, E> {
-        let mut attempt = 0u32;
-        loop {
-            metrics.increment("actuation.attempts");
-            match op(attempt) {
-                Ok(()) => return Ok(attempt + 1),
-                Err(e) if attempt + 1 >= self.max_attempts => {
-                    metrics.increment("actuation.abandoned");
-                    return Err(e);
-                }
-                Err(_) => {
-                    metrics.increment("actuation.retries");
-                    attempt += 1;
-                }
-            }
         }
     }
 }
@@ -581,44 +539,5 @@ mod tests {
             assert_eq!(reason.service(), service);
             assert_eq!(reason.attempt(), attempt);
         }
-    }
-
-    #[test]
-    fn run_observed_counts_attempts_retries_and_abandons() {
-        let metrics = chamulteon_obs::MetricsRegistry::new();
-        let p = RetryPolicy::new(3, 0.0, 0.0);
-        // Success on the second attempt: 2 attempts, 1 retry.
-        p.run_observed(&metrics, |a| if a >= 1 { Ok(()) } else { Err(()) })
-            .unwrap();
-        assert_eq!(metrics.counter_value("actuation.attempts"), Some(2));
-        assert_eq!(metrics.counter_value("actuation.retries"), Some(1));
-        assert_eq!(metrics.counter_value("actuation.abandoned"), None);
-        // Exhausted budget: 3 more attempts, 2 more retries, 1 abandon.
-        let _ = p.run_observed(&metrics, |_| Err::<(), ()>(()));
-        assert_eq!(metrics.counter_value("actuation.attempts"), Some(5));
-        assert_eq!(metrics.counter_value("actuation.retries"), Some(3));
-        assert_eq!(metrics.counter_value("actuation.abandoned"), Some(1));
-    }
-
-    #[test]
-    fn run_retries_until_success_or_budget() {
-        let p = RetryPolicy::new(3, 0.0, 0.0);
-        // Succeeds on the third (last) attempt.
-        let attempts = p
-            .run(|a| if a >= 2 { Ok(()) } else { Err("transient") })
-            .unwrap();
-        assert_eq!(attempts, 3);
-        // Never succeeds: the final error comes back after 3 attempts.
-        let mut calls = 0;
-        let err = p
-            .run(|_| -> Result<(), &str> {
-                calls += 1;
-                Err("down")
-            })
-            .unwrap_err();
-        assert_eq!(err, "down");
-        assert_eq!(calls, 3);
-        // First-try success uses one attempt.
-        assert_eq!(p.run(|_| Ok::<(), ()>(())).unwrap(), 1);
     }
 }

@@ -35,7 +35,7 @@ pub use event::{
     ActuationOutcome, Event, EventKind, Provenance, Sizing, WarmAction, Winner, EVENT_KIND_CODES,
 };
 pub use json::JsonError;
-pub use metrics::{Counter, Histogram, MetricsRegistry, PhaseTimer, DISABLED_METRICS};
+pub use metrics::{Counter, Histogram, MetricsRegistry, PhaseTimer};
 pub use recorder::{NoopRecorder, Recorder, RecorderHandle, RingRecorder};
 
 use std::sync::Arc;

@@ -3,9 +3,7 @@
 //!
 //! The registry is either *enabled* or *disabled*; every mutation on a
 //! disabled registry returns after one branch, so instrumented code can
-//! call it unconditionally. [`DISABLED_METRICS`] is a `static` disabled
-//! registry for call sites that need a `&MetricsRegistry` but no
-//! recording (e.g. the thin `RetryPolicy::run` shim in `chamulteon-core`).
+//! call it unconditionally.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -148,10 +146,6 @@ pub struct MetricsRegistry {
     gauges: Mutex<BTreeMap<String, f64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
-
-/// A `static` disabled registry, for call sites that need a
-/// `&MetricsRegistry` but should record nothing.
-pub static DISABLED_METRICS: MetricsRegistry = MetricsRegistry::disabled();
 
 impl Default for MetricsRegistry {
     fn default() -> MetricsRegistry {
@@ -375,7 +369,6 @@ mod tests {
         assert_eq!(m.gauge_value("g"), None);
         assert!(m.histogram("h").is_none());
         assert!(m.snapshot().is_empty());
-        assert_eq!(DISABLED_METRICS.counter_value("a"), None);
     }
 
     #[test]
