@@ -269,11 +269,6 @@ impl ClusterArbiter {
         self.budget
     }
 
-    /// Number of tenants the arbiter tracks.
-    pub fn tenant_count(&self) -> usize {
-        self.books.len()
-    }
-
     /// Running instances currently held by `tenant`.
     pub fn running(&self, tenant: TenantId) -> u32 {
         self.books
@@ -299,11 +294,6 @@ impl ClusterArbiter {
     /// budget invariant bounds.
     pub fn in_use(&self) -> u32 {
         self.total_running().saturating_add(self.warm_count())
-    }
-
-    /// The warm pool contents (ordered; deterministic).
-    pub fn warm_pool(&self) -> &[WarmLease] {
-        &self.warm
     }
 
     /// The per-tenant lease books.

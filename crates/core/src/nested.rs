@@ -45,13 +45,6 @@ impl NestedPlanner {
         let needed_slots = current.max(future).saturating_add(self.headroom_slots);
         needed_slots.div_ceil(self.slots_per_vm).max(1)
     }
-
-    /// Convenience: the forecast peak container total implied by a set of
-    /// per-interval per-service target vectors (e.g. the proactive cycle's
-    /// chained decisions over its horizon).
-    pub fn forecast_peak(plans: &[Vec<u32>]) -> Option<u32> {
-        plans.iter().map(|p| p.iter().sum()).max()
-    }
 }
 
 #[cfg(test)]
@@ -79,13 +72,6 @@ mod tests {
         assert_eq!(p.plan(&[2, 2], Some(17)), 5);
         // Smaller forecast than current: current wins.
         assert_eq!(p.plan(&[10, 10], Some(5)), 5);
-    }
-
-    #[test]
-    fn forecast_peak_helper() {
-        let plans = vec![vec![2, 3, 1], vec![5, 8, 3], vec![4, 6, 2]];
-        assert_eq!(NestedPlanner::forecast_peak(&plans), Some(16));
-        assert_eq!(NestedPlanner::forecast_peak(&[]), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error returned by service demand estimators.
+/// Error returned by service demand estimation.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DemandError {
@@ -18,12 +18,6 @@ pub enum DemandError {
         /// The value that was passed.
         value: f64,
     },
-    /// The estimator requires observations this sample set lacks (e.g.
-    /// response times for the response-time approximation).
-    MissingObservation {
-        /// Name of the missing observation.
-        observation: &'static str,
-    },
 }
 
 impl fmt::Display for DemandError {
@@ -34,9 +28,6 @@ impl fmt::Display for DemandError {
             }
             DemandError::InvalidSample { field, value } => {
                 write!(f, "invalid sample field `{field}`: {value}")
-            }
-            DemandError::MissingObservation { observation } => {
-                write!(f, "estimator requires missing observation `{observation}`")
             }
         }
     }
@@ -57,10 +48,5 @@ mod tests {
         }
         .to_string()
         .contains("duration"));
-        assert!(DemandError::MissingObservation {
-            observation: "response_time"
-        }
-        .to_string()
-        .contains("response_time"));
     }
 }

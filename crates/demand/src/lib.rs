@@ -1,36 +1,28 @@
-//! LibReDE-style service demand estimation for the Chamulteon reproduction.
+//! Service demand estimation for the Chamulteon reproduction.
 //!
 //! Chamulteon (§III-A2) estimates the *service demand* of every service —
 //! "the average time required from each service for processing a request,
 //! excluding any waiting times" — from monitoring data. The paper uses the
 //! estimator based on the **Service Demand Law** from the LibReDE library
-//! (Spinner et al., ICPE 2014) to minimize estimation overhead; LibReDE
-//! itself offers a registry of estimation approaches. This crate mirrors
-//! that design:
+//! (Spinner et al., ICPE 2014) to minimize estimation overhead, and so does
+//! this crate:
 //!
 //! * [`MonitoringSample`] — one monitoring window worth of per-service
-//!   observations (arrivals, utilization, instance count, response time),
-//! * [`DemandEstimator`] — the estimator trait,
-//! * [`ServiceDemandLawEstimator`] — the paper's choice: `D = U·n/λ`,
-//! * [`UtilizationRegressionEstimator`] — least-squares regression of
-//!   utilization on arrival rate across windows,
-//! * [`ResponseTimeApproximationEstimator`] — demand from observed response
-//!   times corrected for queueing,
-//! * [`KalmanFilterEstimator`] — a Kalman filter over the utilization law
-//!   that smooths monitoring noise and tracks demand drift,
-//! * [`EstimatorRegistry`] — name-based lookup like LibReDE's approach
-//!   registry,
+//!   observations (arrivals, completions, utilization, instance count,
+//!   response time),
+//! * [`service_demand_law`] — the paper's estimator, `D = U·n/X` over a
+//!   set of windows,
 //! * [`RollingDemandEstimator`] — a windowed, smoothed wrapper that the
 //!   controller consumes.
 //!
 //! # Example
 //!
 //! ```
-//! use chamulteon_demand::{DemandEstimator, MonitoringSample, ServiceDemandLawEstimator};
+//! use chamulteon_demand::{service_demand_law, MonitoringSample};
 //!
 //! // One 60 s window: 600 requests, 5 instances at 20% utilization.
 //! let sample = MonitoringSample::new(60.0, 600, 0.2, 5, Some(0.11))?;
-//! let demand = ServiceDemandLawEstimator.estimate(&[sample])?;
+//! let demand = service_demand_law(&[sample])?;
 //! assert!((demand - 0.1).abs() < 1e-9); // U·n/λ = 0.2·5/10
 //! # Ok::<(), chamulteon_demand::DemandError>(())
 //! ```
@@ -40,18 +32,9 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod estimators;
-pub mod kalman;
-pub mod registry;
 pub mod rolling;
 pub mod sample;
 
 pub use error::DemandError;
-pub use estimators::{
-    DemandEstimator, ResponseTimeApproximationEstimator, ServiceDemandLawEstimator,
-    UtilizationRegressionEstimator,
-};
-pub use kalman::KalmanFilterEstimator;
-pub use registry::EstimatorRegistry;
-pub use rolling::RollingDemandEstimator;
+pub use rolling::{service_demand_law, RollingDemandEstimator};
 pub use sample::MonitoringSample;

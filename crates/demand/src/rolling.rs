@@ -1,14 +1,54 @@
 //! Rolling, smoothed demand estimation for online use by the controller.
 
 use crate::error::DemandError;
-use crate::estimators::{DemandEstimator, ServiceDemandLawEstimator};
 use crate::sample::MonitoringSample;
 use std::collections::VecDeque;
 
-/// Online wrapper around a [`DemandEstimator`]: keeps a bounded window of
-/// recent monitoring samples and exponentially smooths successive
-/// estimates, so one noisy monitoring interval cannot flip a scaling
-/// decision.
+/// The Service Demand Law — the estimator the paper selects "to minimize
+/// the estimation overhead".
+///
+/// From the utilization law `U = X·D/n` (with `X` the throughput) it
+/// follows that `D = U·n/X = total busy time / total completions`. Windows
+/// are aggregated by summing busy time and completions in iteration order,
+/// which weights windows by the amount of work they observed. Using
+/// completions rather than arrivals keeps the estimate correct under
+/// saturation, when fewer requests complete than arrive.
+///
+/// # Errors
+///
+/// Returns [`DemandError::NoUsableSamples`] when the windows saw no
+/// completions or no busy time.
+///
+/// # Examples
+///
+/// ```
+/// use chamulteon_demand::{service_demand_law, MonitoringSample};
+///
+/// // One 60 s window: 600 requests, 5 instances at 20% utilization.
+/// let sample = MonitoringSample::new(60.0, 600, 0.2, 5, Some(0.11))?;
+/// let demand = service_demand_law(&[sample])?;
+/// assert!((demand - 0.1).abs() < 1e-9); // U·n/λ = 0.2·5/10
+/// # Ok::<(), chamulteon_demand::DemandError>(())
+/// ```
+pub fn service_demand_law<'a>(
+    samples: impl IntoIterator<Item = &'a MonitoringSample>,
+) -> Result<f64, DemandError> {
+    let mut busy = 0.0;
+    let mut completions = 0u64;
+    for s in samples {
+        busy += s.total_busy_time();
+        completions += s.completions();
+    }
+    if completions == 0 || busy <= 0.0 {
+        return Err(DemandError::NoUsableSamples);
+    }
+    Ok(busy / completions as f64)
+}
+
+/// Keeps a bounded window of recent monitoring samples, estimates the
+/// demand over it with the [`service_demand_law`] and exponentially
+/// smooths successive estimates, so one noisy monitoring interval cannot
+/// flip a scaling decision.
 ///
 /// # Examples
 ///
@@ -21,38 +61,13 @@ use std::collections::VecDeque;
 /// assert!((est.current_demand() - 0.1).abs() < 1e-9);
 /// # Ok::<(), chamulteon_demand::DemandError>(())
 /// ```
+#[derive(Debug, Clone)]
 pub struct RollingDemandEstimator {
-    estimator: Box<dyn DemandEstimator + Send + Sync>,
     window: VecDeque<MonitoringSample>,
     capacity: usize,
     smoothing: f64,
     current: f64,
     initialized: bool,
-}
-
-impl Clone for RollingDemandEstimator {
-    fn clone(&self) -> Self {
-        RollingDemandEstimator {
-            estimator: self.estimator.clone_box(),
-            window: self.window.clone(),
-            capacity: self.capacity,
-            smoothing: self.smoothing,
-            current: self.current,
-            initialized: self.initialized,
-        }
-    }
-}
-
-impl std::fmt::Debug for RollingDemandEstimator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RollingDemandEstimator")
-            .field("estimator", &self.estimator.name())
-            .field("window_len", &self.window.len())
-            .field("capacity", &self.capacity)
-            .field("smoothing", &self.smoothing)
-            .field("current", &self.current)
-            .finish()
-    }
 }
 
 impl RollingDemandEstimator {
@@ -61,22 +76,6 @@ impl RollingDemandEstimator {
     /// (1.0 disables smoothing), seeded with `initial_demand` until the
     /// first real estimate arrives.
     pub fn new(capacity: usize, smoothing: f64, initial_demand: f64) -> Self {
-        Self::with_estimator(
-            Box::new(ServiceDemandLawEstimator),
-            capacity,
-            smoothing,
-            initial_demand,
-        )
-    }
-
-    /// Like [`RollingDemandEstimator::new`] but with a custom estimation
-    /// approach.
-    pub fn with_estimator(
-        estimator: Box<dyn DemandEstimator + Send + Sync>,
-        capacity: usize,
-        smoothing: f64,
-        initial_demand: f64,
-    ) -> Self {
         let smoothing = if smoothing.is_finite() && smoothing > 0.0 && smoothing <= 1.0 {
             smoothing
         } else {
@@ -88,7 +87,6 @@ impl RollingDemandEstimator {
             0.1
         };
         RollingDemandEstimator {
-            estimator,
             window: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
             smoothing,
@@ -106,8 +104,7 @@ impl RollingDemandEstimator {
             self.window.pop_front();
         }
         self.window.push_back(sample);
-        let samples: Vec<MonitoringSample> = self.window.iter().copied().collect();
-        match self.estimator.estimate(&samples) {
+        match service_demand_law(&self.window) {
             Ok(estimate) if estimate.is_finite() && estimate > 0.0 => {
                 if self.initialized {
                     self.current =
@@ -175,17 +172,6 @@ impl RollingDemandEstimator {
         }
         est.initialized = initialized;
         est
-    }
-
-    /// Runs the underlying estimator once on the current window without
-    /// smoothing — what LibReDE would answer right now.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying estimator's error.
-    pub fn raw_estimate(&self) -> Result<f64, DemandError> {
-        let samples: Vec<MonitoringSample> = self.window.iter().copied().collect();
-        self.estimator.estimate(&samples)
     }
 }
 
@@ -292,10 +278,34 @@ mod tests {
     }
 
     #[test]
-    fn raw_estimate_reflects_window_only() {
-        let mut est = RollingDemandEstimator::new(5, 0.1, 0.1);
-        assert!(est.raw_estimate().is_err());
-        est.observe(s(1200, 0.5, 4));
-        assert!((est.raw_estimate().unwrap() - 0.1).abs() < 1e-12);
+    fn sdl_recovers_planted_demand() {
+        // Planted demand 0.1 s: λ = 20 req/s on 4 instances => U = 0.5.
+        let d = service_demand_law(&[s(1200, 0.5, 4)]).unwrap();
+        assert!((d - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sdl_aggregates_windows_by_work() {
+        // Two windows with different loads but same true demand.
+        let d = service_demand_law(&[s(600, 0.25, 4), s(2400, 1.0, 4)]).unwrap();
+        assert!((d - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sdl_no_arrivals_is_error() {
+        assert_eq!(
+            service_demand_law(&[s(0, 0.0, 4)]),
+            Err(DemandError::NoUsableSamples)
+        );
+        assert_eq!(service_demand_law(&[]), Err(DemandError::NoUsableSamples));
+    }
+
+    #[test]
+    fn sdl_correct_under_saturation() {
+        // 100 req/s arrive but a single instance (capacity 10 req/s at
+        // D = 0.1) completes only 600 in 60 s at utilization 1.0.
+        let saturated = s(6000, 1.0, 1).with_completions(600);
+        let d = service_demand_law(&[saturated]).unwrap();
+        assert!((d - 0.1).abs() < 1e-12, "got {d}");
     }
 }

@@ -1,4 +1,4 @@
-//! The monitoring sample consumed by all estimators.
+//! The monitoring sample the demand estimation consumes.
 
 use crate::error::DemandError;
 
@@ -6,7 +6,8 @@ use crate::error::DemandError;
 ///
 /// The paper's estimation input (§III-A2): "the request arrivals per
 /// resource and the average monitored utilization are required", plus the
-/// optional mean response time used by the response-time estimator.
+/// optional mean response time, which the controller's state snapshot
+/// carries along.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitoringSample {
     duration: f64,
@@ -164,10 +165,10 @@ impl MonitoringSample {
 
     /// Sets the number of requests *completed* during the window, when it
     /// differs from the arrivals (an overloaded service completes fewer
-    /// than arrive; a draining one completes more). Estimators use this
-    /// throughput — the utilization law is `U = X·D/n` with `X` the
-    /// throughput, so dividing busy time by arrivals would underestimate
-    /// the demand exactly when the service is saturated.
+    /// than arrive; a draining one completes more). The Service Demand Law
+    /// divides by this count — the utilization law is `U = X·D/n` with `X`
+    /// the throughput, so dividing busy time by arrivals would
+    /// underestimate the demand exactly when the service is saturated.
     pub fn with_completions(mut self, completions: u64) -> Self {
         self.completions = Some(completions);
         self
@@ -195,11 +196,6 @@ impl MonitoringSample {
     /// field-for-field identical to the captured one.
     pub fn explicit_completions(&self) -> Option<u64> {
         self.completions
-    }
-
-    /// Throughput `X = completions / duration` in requests per second.
-    pub fn throughput(&self) -> f64 {
-        self.completions() as f64 / self.duration
     }
 
     /// Mean utilization across instances, clamped to `[0, 1]`.

@@ -9,10 +9,7 @@
     clippy::cast_sign_loss,
     clippy::cast_precision_loss
 )]
-use chamulteon_demand::{
-    DemandEstimator, MonitoringSample, RollingDemandEstimator, ServiceDemandLawEstimator,
-    UtilizationRegressionEstimator,
-};
+use chamulteon_demand::{service_demand_law, MonitoringSample, RollingDemandEstimator};
 use proptest::prelude::*;
 
 proptest! {
@@ -30,11 +27,11 @@ proptest! {
         let util = demand * effective_lambda / f64::from(n);
         prop_assume!(util <= 1.0);
         let s = MonitoringSample::new(duration, arrivals as u64, util, n, None).unwrap();
-        let est = ServiceDemandLawEstimator.estimate(&[s]).unwrap();
+        let est = service_demand_law(&[s]).unwrap();
         prop_assert!((est - demand).abs() < 1e-9);
     }
 
-    /// Estimates are always positive and finite when they succeed.
+    /// The estimate is always positive and finite when it succeeds.
     #[test]
     fn estimates_positive_finite(
         windows in prop::collection::vec(
@@ -46,10 +43,7 @@ proptest! {
             .iter()
             .map(|&(a, u, n)| MonitoringSample::new(60.0, a, u, n, None).unwrap())
             .collect();
-        for d in [
-            ServiceDemandLawEstimator.estimate(&samples),
-            UtilizationRegressionEstimator.estimate(&samples),
-        ].into_iter().flatten() {
+        if let Ok(d) = service_demand_law(&samples) {
             prop_assert!(d.is_finite());
             prop_assert!(d > 0.0);
         }

@@ -85,8 +85,7 @@ where
 ///
 /// The end-to-end SLO budget is split across services proportionally to
 /// `demand_i · visit_ratio_i` — the same split the optimal static sizing
-/// would use (and the split `TandemNetwork::min_instances_for_slo` in
-/// `chamulteon-queueing` applies).
+/// would use.
 pub fn demand_curves(
     trace: &LoadTrace,
     service_demands: &[f64],

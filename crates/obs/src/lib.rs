@@ -10,9 +10,9 @@
 //!   `capacity_solve` → `conflict_resolution` → `fox_verdict` →
 //!   `decision`) plus harness-side `degradation`, `actuation` and
 //!   `fault` records; every final target carries a full [`Provenance`].
-//! * **Metrics** ([`metrics`]): a [`MetricsRegistry`] of counters,
-//!   gauges and log-bucketed histograms with a plain-text snapshot,
-//!   plus a [`PhaseTimer`] for per-phase wall-clock.
+//! * **Metrics** ([`metrics`]): a [`MetricsRegistry`] of counters and
+//!   log-bucketed histograms with a plain-text snapshot, plus a
+//!   [`PhaseTimer`] for per-phase wall-clock.
 //! * **Export** ([`json`], [`jsonl`]): the workspace's one JSON codec —
 //!   a streaming writer and a strict parser shared by every text format —
 //!   and the canonical JSONL serialization of traces built on it, where
@@ -78,12 +78,17 @@ impl Obs {
 
     /// Emits the event built by `make` when tracing is on (see
     /// [`RecorderHandle::record_with`]).
-    #[inline]
+    ///
+    /// This and the other calls on the disabled path are
+    /// `#[inline(always)]`: an unoptimised build otherwise pays a call per
+    /// level for what is one branch.
+    #[inline(always)]
     pub fn record_with(&self, make: impl FnOnce() -> Event) {
         self.recorder.record_with(make);
     }
 
     /// The metrics registry (disabled unless the bundle records).
+    #[inline(always)]
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }

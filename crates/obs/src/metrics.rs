@@ -1,5 +1,5 @@
-//! Metrics registry: monotonic counters, gauges and log-bucketed
-//! histograms with a plain-text [`MetricsRegistry::snapshot`] render.
+//! Metrics registry: monotonic counters and log-bucketed histograms with
+//! a plain-text [`MetricsRegistry::snapshot`] render.
 //!
 //! The registry is either *enabled* or *disabled*; every mutation on a
 //! disabled registry returns after one branch, so instrumented code can
@@ -133,7 +133,7 @@ impl Histogram {
     }
 }
 
-/// A registry of named counters, gauges and histograms.
+/// A registry of named counters and histograms.
 ///
 /// Names are free-form dotted strings (`"decisions.proactive"`,
 /// `"cycle.resolve_us"`). All methods take `&self` and are thread-safe; a
@@ -143,7 +143,6 @@ impl Histogram {
 pub struct MetricsRegistry {
     enabled: bool,
     counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
@@ -159,7 +158,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             enabled: true,
             counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         }
     }
@@ -170,7 +168,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             enabled: false,
             counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         }
     }
@@ -181,10 +178,19 @@ impl MetricsRegistry {
     }
 
     /// Adds `n` to the named counter.
+    ///
+    /// The enabled check is inlined into every caller, the work behind it
+    /// is not, so the disabled path costs one branch even unoptimised.
+    #[inline(always)]
     pub fn count(&self, name: &str, n: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.count_enabled(name, n);
         }
+    }
+
+    /// The locked update behind [`count`](Self::count).
+    #[inline(never)]
+    fn count_enabled(&self, name: &str, n: u64) {
         let Ok(mut counters) = self.counters.lock() else {
             return;
         };
@@ -197,24 +203,9 @@ impl MetricsRegistry {
     }
 
     /// Adds one to the named counter.
+    #[inline(always)]
     pub fn increment(&self, name: &str) {
         self.count(name, 1);
-    }
-
-    /// Sets the named gauge.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let Ok(mut gauges) = self.gauges.lock() else {
-            return;
-        };
-        match gauges.get_mut(name) {
-            Some(g) => *g = value,
-            None => {
-                gauges.insert(name.to_owned(), value);
-            }
-        }
     }
 
     /// Records one observation into the named histogram.
@@ -243,14 +234,6 @@ impl MetricsRegistry {
         counters.get(name).copied()
     }
 
-    /// Current value of a gauge, when it exists.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        let Ok(gauges) = self.gauges.lock() else {
-            return None;
-        };
-        gauges.get(name).copied()
-    }
-
     /// A copy of the named histogram, when it exists.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         let Ok(histograms) = self.histograms.lock() else {
@@ -260,17 +243,12 @@ impl MetricsRegistry {
     }
 
     /// Renders every metric as sorted plain text, one line per metric:
-    /// counters, then gauges, then histograms (count/mean/min/max).
+    /// counters, then histograms (count/mean/min/max).
     pub fn snapshot(&self) -> String {
         let mut out = String::new();
         if let Ok(counters) = self.counters.lock() {
             for (name, value) in counters.iter() {
                 let _ = writeln!(out, "counter {name} = {value}");
-            }
-        }
-        if let Ok(gauges) = self.gauges.lock() {
-            for (name, value) in gauges.iter() {
-                let _ = writeln!(out, "gauge {name} = {value:.6}");
             }
         }
         if let Ok(histograms) = self.histograms.lock() {
@@ -336,14 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_overwrite() {
-        let m = MetricsRegistry::new();
-        m.set_gauge("g", 1.0);
-        m.set_gauge("g", 2.5);
-        assert_eq!(m.gauge_value("g"), Some(2.5));
-    }
-
-    #[test]
     fn histogram_buckets_by_binary_exponent() {
         let mut h = Histogram::new();
         h.observe(1.5); // exponent 0
@@ -363,10 +333,8 @@ mod tests {
         let m = MetricsRegistry::disabled();
         assert!(!m.enabled());
         m.increment("a");
-        m.set_gauge("g", 1.0);
         m.observe("h", 1.0);
         assert_eq!(m.counter_value("a"), None);
-        assert_eq!(m.gauge_value("g"), None);
         assert!(m.histogram("h").is_none());
         assert!(m.snapshot().is_empty());
     }
@@ -376,13 +344,11 @@ mod tests {
         let m = MetricsRegistry::new();
         m.increment("z.counter");
         m.increment("a.counter");
-        m.set_gauge("mid.gauge", 0.25);
         m.observe("lat", 10.0);
         let snap = m.snapshot();
         let a = snap.find("counter a.counter").unwrap_or(usize::MAX);
         let z = snap.find("counter z.counter").unwrap_or(usize::MAX);
         assert!(a < z, "{snap}");
-        assert!(snap.contains("gauge mid.gauge = 0.250000"), "{snap}");
         assert!(snap.contains("histogram lat: count=1"), "{snap}");
     }
 

@@ -57,7 +57,7 @@ impl RecorderHandle {
 
     /// Records the event built by `make` — which only runs when the
     /// handle is enabled, so the disabled path pays one `Option` check.
-    #[inline]
+    #[inline(always)]
     pub fn record_with(&self, make: impl FnOnce() -> Event) {
         if let Some(recorder) = &self.0 {
             recorder.record(&make());

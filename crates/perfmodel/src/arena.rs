@@ -1,8 +1,9 @@
 //! Arena-compiled application model: flat, index-based, allocation-free hot
 //! paths for thousand-service graphs.
 //!
-//! [`ApplicationModel`](crate::ApplicationModel) keeps the validated,
-//! JSON-round-trippable description; [`ModelArena`] is its compiled form:
+//! [`ApplicationModel`](crate::ApplicationModel) keeps the validated
+//! description; [`ModelArena`] is its compiled form, the arrays that
+//! Algorithm 1's capacity-throttled walk (`chamulteon::algorithm`) reads:
 //!
 //! * the **canonical topological order** precomputed once (no per-call
 //!   Kahn re-sort),
@@ -190,50 +191,6 @@ impl ModelArena {
     pub fn initial_instances(&self, node: usize) -> u32 {
         self.initial_instances.get(node).copied().unwrap_or(1)
     }
-
-    /// Arrival-rate propagation with capacity throttling, written into a
-    /// caller-owned buffer so the per-cycle hot loop allocates nothing.
-    ///
-    /// Semantics are exactly those of
-    /// [`ApplicationModel::propagate_arrivals`](crate::ApplicationModel::propagate_arrivals):
-    /// short `instances`/`demands` slices and non-finite or non-positive
-    /// demand entries fall back to the spec's initial instances / nominal
-    /// demand, the entry rate is clamped at zero, and a service forwards at
-    /// most its saturation throughput `n/D`. The walk follows the canonical
-    /// topological order, so results are bit-identical to the legacy path.
-    ///
-    /// `offered` is cleared and resized to the node count; on return
-    /// `offered[i]` is the arrival rate *offered to* service `i`.
-    pub fn propagate_arrivals_into(
-        &self,
-        entry_rate: f64,
-        instances: &[u32],
-        demands: &[f64],
-        offered: &mut Vec<f64>,
-    ) {
-        offered.clear();
-        offered.resize(self.node_count, 0.0);
-        if self.node_count == 0 {
-            return;
-        }
-        offered[self.entry] = entry_rate.max(0.0);
-        for &node in &self.topo {
-            let inst = instances
-                .get(node)
-                .copied()
-                .unwrap_or_else(|| self.initial_instances(node));
-            let demand = demands
-                .get(node)
-                .copied()
-                .filter(|d| d.is_finite() && *d > 0.0)
-                .unwrap_or_else(|| self.nominal_demand(node));
-            let capacity = f64::from(inst) / demand;
-            let completed = offered[node].min(capacity);
-            for e in self.edge_offsets[node]..self.edge_offsets[node + 1] {
-                offered[self.edge_targets[e]] += completed * self.edge_multiplicities[e];
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -271,25 +228,6 @@ mod tests {
     fn visit_ratios_match_graph() {
         let (model, arena) = paper_arena();
         assert_eq!(arena.visit_ratios(), model.visit_ratios().as_slice());
-    }
-
-    #[test]
-    fn propagation_matches_legacy_bitwise() {
-        let (model, arena) = paper_arena();
-        let cases: [(f64, &[u32], &[f64]); 4] = [
-            (50.0, &[10, 10, 10], &[0.059, 0.1, 0.04]),
-            (100.0, &[20, 5, 10], &[0.059, 0.1, 0.04]),
-            (100.0, &[], &[]),
-            (100.0, &[1, 1, 1], &[f64::NAN, -1.0, 0.0]),
-        ];
-        let mut buffer = Vec::new();
-        for (rate, instances, demands) in cases {
-            let legacy = model.propagate_arrivals(rate, instances, demands);
-            arena.propagate_arrivals_into(rate, instances, demands, &mut buffer);
-            let legacy_bits: Vec<u64> = legacy.iter().map(|v| v.to_bits()).collect();
-            let arena_bits: Vec<u64> = buffer.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(legacy_bits, arena_bits);
-        }
     }
 
     #[test]

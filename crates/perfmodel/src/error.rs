@@ -29,11 +29,6 @@ pub enum ModelError {
         /// The value that was passed.
         value: f64,
     },
-    /// The JSON representation could not be parsed.
-    Parse {
-        /// Parser message.
-        message: String,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -50,7 +45,6 @@ impl fmt::Display for ModelError {
             ModelError::InvalidField { field, value } => {
                 write!(f, "invalid field `{field}`: {value}")
             }
-            ModelError::Parse { message } => write!(f, "model parse error: {message}"),
         }
     }
 }

@@ -10,13 +10,13 @@
 //!   per request ([`InvocationGraph`]),
 //! * the **entry (user-facing) service** whose arrival rate is the only one
 //!   monitored and forecast,
-//! * **arrival-rate propagation** along the graph with capacity throttling
-//!   (`estimateArrivals` of Algorithm 1): an overloaded upstream service
-//!   forwards at most its saturation throughput.
+//! * the compiled [`ModelArena`] — canonical topological order, CSR edge
+//!   arrays and cached visit ratios — that Algorithm 1's arrival-rate
+//!   walk (`estimateArrivals`, in `chamulteon::algorithm`) reads.
 //!
-//! Models are plain data (JSON round-trippable), built with
-//! [`ApplicationModelBuilder`] or loaded from JSON — the stand-in for the
-//! paper's externally provided DML instance.
+//! Models are plain data, built with [`ApplicationModelBuilder`], by
+//! [`ApplicationModel::new`] or by the synthetic [`topology`] families —
+//! the stand-in for the paper's externally provided DML instance.
 //!
 //! # Example
 //!
@@ -28,9 +28,8 @@
 //! let model = ApplicationModel::paper_benchmark();
 //! assert_eq!(model.services().len(), 3);
 //! assert_eq!(model.entry(), 0);
-//! // Arrival propagation with ample capacity passes rates through 1:1.
-//! let rates = model.propagate_arrivals(100.0, &[20, 20, 20], &[0.059, 0.1, 0.04]);
-//! assert_eq!(rates, vec![100.0, 100.0, 100.0]);
+//! // A chain: every request visits every service once.
+//! assert_eq!(model.visit_ratios(), vec![1.0, 1.0, 1.0]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,7 +40,6 @@ pub mod arena;
 pub mod builder;
 pub mod error;
 pub mod graph;
-mod json;
 pub mod model;
 pub mod service;
 pub mod topology;

@@ -9,7 +9,7 @@ use crate::service::ServiceSpec;
 /// for a DML instance.
 ///
 /// Construct with [`ApplicationModelBuilder`](crate::ApplicationModelBuilder)
-/// or deserialize from JSON via [`ApplicationModel::from_json`].
+/// or [`ApplicationModel::new`].
 ///
 /// Validation compiles the model into a [`ModelArena`] — precomputed
 /// canonical topological order, CSR edge arrays and cached visit ratios —
@@ -144,64 +144,6 @@ impl ApplicationModel {
     pub fn visit_ratios(&self) -> Vec<f64> {
         self.arena.visit_ratios().to_vec()
     }
-
-    /// Propagates an external arrival rate through the invocation graph
-    /// with capacity throttling — the paper's `estimateArrivals`
-    /// (Algorithm 1, line 5) generalized to DAGs.
-    ///
-    /// `instances[i]` and `demands[i]` describe the current deployment of
-    /// service `i`. A service that receives more than it can complete
-    /// (`n/D` req/s) forwards only its saturation throughput downstream —
-    /// this is exactly the mechanism behind bottleneck shifting.
-    ///
-    /// Returns the arrival rate *offered to* each service (which may exceed
-    /// its capacity). Slices shorter than the service count are treated as
-    /// missing data and the nominal demand / initial instances are used.
-    pub fn propagate_arrivals(
-        &self,
-        entry_rate: f64,
-        instances: &[u32],
-        demands: &[f64],
-    ) -> Vec<f64> {
-        let mut offered = Vec::new();
-        self.arena
-            .propagate_arrivals_into(entry_rate, instances, demands, &mut offered);
-        offered
-    }
-
-    /// Allocation-free variant of
-    /// [`propagate_arrivals`](ApplicationModel::propagate_arrivals): writes
-    /// the offered rates into a caller-owned buffer (cleared and resized to
-    /// the service count). Bit-identical results; use this in per-cycle hot
-    /// loops.
-    pub fn propagate_arrivals_into(
-        &self,
-        entry_rate: f64,
-        instances: &[u32],
-        demands: &[f64],
-        offered: &mut Vec<f64>,
-    ) {
-        self.arena
-            .propagate_arrivals_into(entry_rate, instances, demands, offered);
-    }
-
-    /// Serializes the model to pretty JSON — the on-disk format standing in
-    /// for a DML instance file.
-    pub fn to_json(&self) -> String {
-        crate::json::encode_model(self)
-    }
-
-    /// Loads a model from its JSON representation and re-validates it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::Parse`] for malformed JSON and any validation
-    /// error of [`ApplicationModel::new`] for a structurally invalid model —
-    /// decoding rebuilds the model through the validating constructors, so
-    /// an inconsistent document is never materialized.
-    pub fn from_json(json: &str) -> Result<Self, ModelError> {
-        crate::json::decode_model(json)
-    }
 }
 
 #[cfg(test)]
@@ -243,78 +185,5 @@ mod tests {
             ApplicationModel::new(vec![], InvocationGraph::new(0), 0),
             Err(ModelError::Empty)
         ));
-    }
-
-    #[test]
-    fn propagation_without_overload_is_identity_on_chain() {
-        let m = ApplicationModel::paper_benchmark();
-        let rates = m.propagate_arrivals(50.0, &[10, 10, 10], &[0.059, 0.1, 0.04]);
-        assert_eq!(rates, vec![50.0, 50.0, 50.0]);
-    }
-
-    #[test]
-    fn propagation_throttles_at_bottleneck() {
-        let m = ApplicationModel::paper_benchmark();
-        // Validation capacity: 5 / 0.1 = 50 req/s.
-        let rates = m.propagate_arrivals(100.0, &[20, 5, 10], &[0.059, 0.1, 0.04]);
-        assert_eq!(rates[0], 100.0);
-        // UI capacity 20/0.059 = 339: passes everything.
-        assert!((rates[1] - 100.0).abs() < 1e-9);
-        // Data service only sees what validation completes.
-        assert!((rates[2] - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn propagation_cascades_bottlenecks() {
-        let m = ApplicationModel::paper_benchmark();
-        // UI capacity 1/0.059 ≈ 16.9 is the first bottleneck.
-        let rates = m.propagate_arrivals(100.0, &[1, 1, 1], &[0.059, 0.1, 0.04]);
-        assert_eq!(rates[0], 100.0);
-        assert!((rates[1] - 1.0 / 0.059).abs() < 1e-9);
-        // Validation capacity 10 < incoming 16.9.
-        assert!((rates[2] - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn propagation_uses_nominal_fallbacks() {
-        let m = ApplicationModel::paper_benchmark();
-        // Missing slices: initial instances (1 each) and nominal demands.
-        let rates = m.propagate_arrivals(100.0, &[], &[]);
-        assert!((rates[1] - 1.0 / 0.059).abs() < 1e-9);
-        // Invalid demand entries also fall back.
-        let rates2 = m.propagate_arrivals(100.0, &[1, 1, 1], &[f64::NAN, -1.0, 0.0]);
-        assert_eq!(rates, rates2);
-    }
-
-    #[test]
-    fn propagation_negative_rate_clamped() {
-        let m = ApplicationModel::paper_benchmark();
-        let rates = m.propagate_arrivals(-5.0, &[1, 1, 1], &[0.059, 0.1, 0.04]);
-        assert_eq!(rates, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let m = ApplicationModel::paper_benchmark();
-        let json = m.to_json();
-        let back = ApplicationModel::from_json(&json).unwrap();
-        assert_eq!(m, back);
-    }
-
-    #[test]
-    fn json_parse_error_reported() {
-        assert!(matches!(
-            ApplicationModel::from_json("{not json"),
-            Err(ModelError::Parse { .. })
-        ));
-    }
-
-    #[test]
-    fn json_revalidates_structure() {
-        // A hand-crafted JSON with an out-of-range entry must be rejected
-        // even though it deserializes.
-        let m = ApplicationModel::paper_benchmark();
-        let json = m.to_json().replace("\"entry\": 0", "\"entry\": 9");
-        assert!(ApplicationModel::from_json(&json).is_err());
     }
 }

@@ -263,49 +263,6 @@ where
     }
 }
 
-/// The largest arrival rate `n` instances can absorb while keeping the
-/// utilization at or below `target_utilization`: `λ_max = n·ρ_target / s`.
-///
-/// This is the "maximum arrival rate that can be served by the bottleneck
-/// service" used when the paper caps the rate forwarded to downstream
-/// services (Algorithm 1, line 5, and the baseline chain-input formula).
-///
-/// Degenerate inputs (non-positive demand, zero servers) yield 0. An
-/// invalid utilization target (NaN, infinite, or ≤ 0) is treated as 1.0 —
-/// the same policy as [`min_instances_for_utilization`]; returning 0 here
-/// would zero out the chain-input cap and silently starve every downstream
-/// service of forwarded load.
-///
-/// # Examples
-///
-/// ```
-/// use chamulteon_queueing::capacity::max_arrival_rate_for_utilization;
-///
-/// // 10 validation instances at full capacity serve 100 req/s.
-/// let max = max_arrival_rate_for_utilization(10, 0.1, 1.0);
-/// assert!((max - 100.0).abs() < 1e-12);
-/// ```
-pub fn max_arrival_rate_for_utilization(
-    servers: u32,
-    service_demand: f64,
-    target_utilization: f64,
-) -> f64 {
-    if servers == 0 || !(service_demand > 0.0) {
-        return 0.0;
-    }
-    // Clamp the target into (0, 1] like `min_instances_for_utilization`
-    // does: a target above full utilization would claim capacity the
-    // instances do not have, inflating the chain-input cap
-    // `r(i) = min(r(i-1), n(i-1)/s(i-1))`; an invalid target means "the
-    // instances' real capacity", not "no capacity".
-    let target = if target_utilization.is_finite() && target_utilization > 0.0 {
-        target_utilization.min(1.0)
-    } else {
-        1.0
-    };
-    f64::from(servers) * target / service_demand
-}
-
 /// The original O(n²) reference searches, retained verbatim so property
 /// tests can pin the incremental solvers bit-equal to them and so the
 /// solver microbenchmark has a faithful "before" baseline.
@@ -598,38 +555,6 @@ mod tests {
             min_instances_for_response_time_quantile(0.0, 0.1, 0.5, 0.9, 100).unwrap(),
             1
         );
-    }
-
-    #[test]
-    fn max_rate_inverse_of_min_instances() {
-        let lambda = max_arrival_rate_for_utilization(25, 0.1, 0.8);
-        assert_eq!(min_instances_for_utilization(lambda, 0.1, 0.8), 25);
-    }
-
-    #[test]
-    fn max_rate_degenerate_inputs() {
-        assert_eq!(max_arrival_rate_for_utilization(0, 0.1, 0.8), 0.0);
-        assert_eq!(max_arrival_rate_for_utilization(5, 0.0, 0.8), 0.0);
-        // An invalid *target* no longer zeroes the rate — that would starve
-        // every downstream service; it falls back to full utilization, the
-        // same policy as the instance solver.
-        let full = max_arrival_rate_for_utilization(5, 0.1, 1.0);
-        assert_eq!(max_arrival_rate_for_utilization(5, 0.1, 0.0), full);
-        assert_eq!(max_arrival_rate_for_utilization(5, 0.1, f64::NAN), full);
-        assert_eq!(
-            max_arrival_rate_for_utilization(5, 0.1, f64::INFINITY),
-            full
-        );
-    }
-
-    #[test]
-    fn max_rate_clamps_target_above_full_utilization() {
-        // A target of 5.0 must not claim 5× the real capacity: it behaves
-        // like full utilization, the same clamp the instance solver applies.
-        let clamped = max_arrival_rate_for_utilization(10, 0.1, 5.0);
-        let full = max_arrival_rate_for_utilization(10, 0.1, 1.0);
-        assert_eq!(clamped, full);
-        assert!((clamped - 100.0).abs() < 1e-12);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`capacity`] — inverse solvers ("how many instances do I need?") used
 //!   both by the auto-scalers and by the ground-truth demand curve of the
 //!   elasticity metrics,
-//! * [`network`] — open tandem networks of M/M/n stations for end-to-end
-//!   response-time analysis and bottleneck identification.
+//! * [`network`] — open tandem networks of M/M/n stations for the
+//!   end-to-end mean response time of a chain.
 //!
 //! # Example
 //!
@@ -45,8 +45,8 @@ pub mod network;
 
 pub use cache::{CacheStats, CapacityCache};
 pub use capacity::{
-    max_arrival_rate_for_utilization, min_instances_for_response_time,
-    min_instances_for_response_time_quantile, min_instances_for_utilization,
+    min_instances_for_response_time, min_instances_for_response_time_quantile,
+    min_instances_for_utilization,
 };
 pub use erlang::{erlang_b, erlang_c, ErlangSweep};
 pub use error::QueueingError;

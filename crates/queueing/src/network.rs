@@ -3,11 +3,10 @@
 //! The benchmark application of the paper is a chain UI → validation → data;
 //! every request visits every tier once. Under the product-form assumption
 //! (§III-B) the chain decomposes into independent M/M/n stations fed by the
-//! same Poisson rate, with the twist that an *overloaded* upstream tier
-//! throttles the rate reaching downstream tiers to its saturation
-//! throughput — exactly the effect that produces bottleneck shifting.
+//! same Poisson rate, so the end-to-end mean response time is the sum of
+//! the stations' sojourn times. The simulator's analytical-consistency
+//! tests compare against exactly that sum.
 
-use crate::capacity::min_instances_for_response_time;
 use crate::error::QueueingError;
 use crate::mmn::MmnQueue;
 
@@ -19,27 +18,14 @@ pub struct StationSpec {
     pub service_demand: f64,
     /// Number of running instances.
     pub servers: u32,
-    /// Mean number of visits a single application request makes to this
-    /// station (1.0 for a plain chain).
-    pub visit_ratio: f64,
 }
 
 impl StationSpec {
-    /// Creates a station spec with a visit ratio of 1 (plain chain).
+    /// Creates a station spec.
     pub fn new(service_demand: f64, servers: u32) -> Self {
         StationSpec {
             service_demand,
             servers,
-            visit_ratio: 1.0,
-        }
-    }
-
-    /// Creates a station spec with an explicit visit ratio.
-    pub fn with_visit_ratio(service_demand: f64, servers: u32, visit_ratio: f64) -> Self {
-        StationSpec {
-            service_demand,
-            servers,
-            visit_ratio,
         }
     }
 }
@@ -74,7 +60,7 @@ impl TandemNetwork {
     /// # Errors
     ///
     /// Returns [`QueueingError::NonPositive`] if any station has a
-    /// non-positive service demand or visit ratio, and
+    /// non-positive service demand, and
     /// [`QueueingError::OutOfRange`] if any has zero servers or the network
     /// is empty.
     pub fn new(stations: Vec<StationSpec>) -> Result<Self, QueueingError> {
@@ -91,12 +77,6 @@ impl TandemNetwork {
                     value: s.service_demand,
                 });
             }
-            if !(s.visit_ratio > 0.0) {
-                return Err(QueueingError::NonPositive {
-                    name: "visit_ratio",
-                    value: s.visit_ratio,
-                });
-            }
             if s.servers == 0 {
                 return Err(QueueingError::OutOfRange {
                     name: "servers",
@@ -107,63 +87,8 @@ impl TandemNetwork {
         Ok(TandemNetwork { stations })
     }
 
-    /// The station specs in order.
-    pub fn stations(&self) -> &[StationSpec] {
-        &self.stations
-    }
-
-    /// Effective arrival rate at each station when the external rate is
-    /// `arrival_rate`, accounting for upstream throttling: an overloaded
-    /// station forwards at most its saturation throughput.
-    ///
-    /// This mirrors the paper's baseline chain-input formula
-    /// `r(i) = min(r(i-1), n(i-1)·s(i-1))` generalized with visit ratios.
-    pub fn effective_rates(&self, arrival_rate: f64) -> Vec<f64> {
-        let mut rates = Vec::with_capacity(self.stations.len());
-        let mut upstream = arrival_rate.max(0.0);
-        for s in &self.stations {
-            let local = upstream * s.visit_ratio;
-            rates.push(local);
-            let saturation = f64::from(s.servers) / s.service_demand;
-            // What flows onward is bounded by what this tier can complete,
-            // expressed back in external-request units.
-            upstream = (local.min(saturation)) / s.visit_ratio;
-        }
-        rates
-    }
-
-    /// Per-station utilizations at the given external arrival rate, using
-    /// the *unthrottled* rate (theoretical utilization may exceed 1).
-    pub fn utilizations(&self, arrival_rate: f64) -> Vec<f64> {
-        self.stations
-            .iter()
-            .map(|s| {
-                arrival_rate.max(0.0) * s.visit_ratio * s.service_demand / f64::from(s.servers)
-            })
-            .collect()
-    }
-
-    /// Index of the station with the highest utilization — the bottleneck.
-    pub fn bottleneck(&self, arrival_rate: f64) -> usize {
-        let utils = self.utilizations(arrival_rate);
-        utils
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-
-    /// The largest external arrival rate that keeps every station stable.
-    pub fn saturation_throughput(&self) -> f64 {
-        self.stations
-            .iter()
-            .map(|s| f64::from(s.servers) / (s.service_demand * s.visit_ratio))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Mean end-to-end response time at the given external arrival rate,
-    /// summing per-station sojourn times weighted by visit ratios.
+    /// Mean end-to-end response time at the given external arrival rate:
+    /// the sum of the per-station sojourn times.
     ///
     /// # Errors
     ///
@@ -172,57 +97,10 @@ impl TandemNetwork {
     pub fn mean_response_time(&self, arrival_rate: f64) -> Result<f64, QueueingError> {
         let mut total = 0.0;
         for s in &self.stations {
-            let local_rate = arrival_rate.max(0.0) * s.visit_ratio;
-            let station = MmnQueue::new(local_rate, s.service_demand, s.servers)?;
-            total += s.visit_ratio * station.mean_response_time()?;
+            let station = MmnQueue::new(arrival_rate.max(0.0), s.service_demand, s.servers)?;
+            total += station.mean_response_time()?;
         }
         Ok(total)
-    }
-
-    /// Minimal per-station instance vector meeting an *end-to-end* response
-    /// time target, splitting the target budget across tiers proportionally
-    /// to their service demands and solving each tier independently.
-    ///
-    /// This is the ground-truth demand vector used by the elasticity
-    /// metrics: it answers "what would the theoretically optimal auto-scaler
-    /// have provisioned at this load?".
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueingError::Infeasible`] if any tier cannot meet its
-    /// share of the budget within `max_instances`, and
-    /// [`QueueingError::NonPositive`] for a non-positive target.
-    pub fn min_instances_for_slo(
-        &self,
-        arrival_rate: f64,
-        response_time_target: f64,
-        max_instances: u32,
-    ) -> Result<Vec<u32>, QueueingError> {
-        if !(response_time_target > 0.0) {
-            return Err(QueueingError::NonPositive {
-                name: "response_time_target",
-                value: response_time_target,
-            });
-        }
-        let total_demand: f64 = self
-            .stations
-            .iter()
-            .map(|s| s.service_demand * s.visit_ratio)
-            .sum();
-        let mut out = Vec::with_capacity(self.stations.len());
-        for s in &self.stations {
-            let share = response_time_target * (s.service_demand * s.visit_ratio) / total_demand;
-            // Per-visit budget for this station.
-            let per_visit_target = share / s.visit_ratio;
-            let n = min_instances_for_response_time(
-                arrival_rate.max(0.0) * s.visit_ratio,
-                s.service_demand,
-                per_visit_target,
-                max_instances,
-            )?;
-            out.push(n);
-        }
-        Ok(out)
     }
 }
 
@@ -248,51 +126,6 @@ mod tests {
     fn invalid_station_rejected() {
         assert!(TandemNetwork::new(vec![StationSpec::new(0.0, 1)]).is_err());
         assert!(TandemNetwork::new(vec![StationSpec::new(0.1, 0)]).is_err());
-        assert!(TandemNetwork::new(vec![StationSpec::with_visit_ratio(0.1, 1, 0.0)]).is_err());
-    }
-
-    #[test]
-    fn effective_rates_pass_through_when_no_overload() {
-        let net = paper_net(10, 15, 6);
-        let rates = net.effective_rates(100.0);
-        assert_eq!(rates, vec![100.0, 100.0, 100.0]);
-    }
-
-    #[test]
-    fn effective_rates_throttled_by_overloaded_tier() {
-        // Validation tier has 5 instances => saturation 50 req/s.
-        let net = paper_net(10, 5, 6);
-        let rates = net.effective_rates(100.0);
-        assert_eq!(rates[0], 100.0);
-        assert_eq!(rates[1], 100.0);
-        // Data tier only sees what validation can complete.
-        assert!((rates[2] - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn effective_rates_cascade_through_multiple_bottlenecks() {
-        // UI saturates at 2/0.059 ≈ 33.9 first, then validation at 30.
-        let net = paper_net(2, 3, 1);
-        let rates = net.effective_rates(100.0);
-        assert_eq!(rates[0], 100.0);
-        let ui_sat = 2.0 / 0.059;
-        assert!((rates[1] - ui_sat).abs() < 1e-9);
-        let val_sat = 3.0 / 0.1;
-        assert!((rates[2] - ui_sat.min(val_sat)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bottleneck_is_highest_utilization_tier() {
-        // At equal instance counts the 0.1 s tier is always the bottleneck.
-        let net = paper_net(5, 5, 5);
-        assert_eq!(net.bottleneck(10.0), 1);
-    }
-
-    #[test]
-    fn saturation_is_min_over_tiers() {
-        let net = paper_net(10, 5, 6);
-        // 10/0.059 = 169.5, 5/0.1 = 50, 6/0.04 = 150 => 50.
-        assert!((net.saturation_throughput() - 50.0).abs() < 1e-9);
     }
 
     #[test]
@@ -307,40 +140,5 @@ mod tests {
     fn response_time_unstable_when_any_tier_overloaded() {
         let net = paper_net(10, 1, 6);
         assert!(net.mean_response_time(50.0).is_err());
-    }
-
-    #[test]
-    fn min_instances_for_slo_meets_target() {
-        let net = paper_net(1, 1, 1);
-        let ns = net.min_instances_for_slo(100.0, 0.5, 1000).unwrap();
-        let sized = TandemNetwork::new(vec![
-            StationSpec::new(0.059, ns[0]),
-            StationSpec::new(0.1, ns[1]),
-            StationSpec::new(0.04, ns[2]),
-        ])
-        .unwrap();
-        assert!(sized.mean_response_time(100.0).unwrap() <= 0.5);
-    }
-
-    #[test]
-    fn min_instances_scale_with_load() {
-        let net = paper_net(1, 1, 1);
-        let low = net.min_instances_for_slo(20.0, 0.5, 1000).unwrap();
-        let high = net.min_instances_for_slo(200.0, 0.5, 1000).unwrap();
-        for (l, h) in low.iter().zip(high.iter()) {
-            assert!(h >= l);
-        }
-    }
-
-    #[test]
-    fn visit_ratios_increase_local_rates() {
-        let net = TandemNetwork::new(vec![
-            StationSpec::new(0.05, 10),
-            StationSpec::with_visit_ratio(0.05, 10, 2.0),
-        ])
-        .unwrap();
-        let rates = net.effective_rates(10.0);
-        assert_eq!(rates[0], 10.0);
-        assert_eq!(rates[1], 20.0);
     }
 }

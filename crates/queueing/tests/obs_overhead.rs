@@ -2,18 +2,39 @@
 //! [`RecorderHandle`] plus a disabled metrics registry consulted on every
 //! solve) must add less than 5 % to the capacity-solver sweep.
 //!
-//! Both sides are timed as the minimum over several trials — the minimum
-//! is robust to scheduler noise, which is what makes a ratio assertion
-//! safe in CI.
+//! One process's reading of the same binary moves from run to run by more
+//! than the bound itself, in debug and release builds alike, so the
+//! assertion is taken across processes:
+//! [`disabled_observability_is_under_five_percent`] re-runs this test
+//! binary [`PROCESSES`] times, each child running only [`overhead_sample`],
+//! and asserts on the median of the children's ratios.
+//! Within a child, plain and observed samples of several milliseconds
+//! alternate, and each side keeps its minimum, which is robust to
+//! scheduler noise.
+//!
+//! [`RecorderHandle`]: chamulteon_obs::RecorderHandle
 
 use chamulteon_obs::{Event, EventKind, Obs};
 use chamulteon_queueing::capacity::min_instances_for_response_time_quantile;
 use std::hint::black_box;
+use std::process::Command;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 const RATES: usize = 60;
 const DEMANDS: usize = 8;
-const TRIALS: usize = 9;
+/// Fresh processes the assertion takes the median over.
+const PROCESSES: usize = 5;
+/// Alternating (plain, observed) sample pairs per process.
+const PAIRS: usize = 15;
+/// Minimum length of one sample, in seconds.
+const SAMPLE_S: f64 = 0.004;
+/// Marks the stderr line on which a child reports its ratio.
+const RATIO_TAG: &str = "obs-overhead-ratio:";
+
+/// Serialises the two tests, so that the in-process sample never times
+/// itself beside the children when the suite runs tests in parallel.
+static TIMING: Mutex<()> = Mutex::new(());
 
 fn solve(rate: f64, demand: f64) -> u32 {
     min_instances_for_response_time_quantile(rate, demand, 4.0 * demand, 0.95, 200).unwrap_or(0)
@@ -56,42 +77,78 @@ fn sweep_observed(obs: &Obs) -> u64 {
     acc
 }
 
-fn min_time(mut work: impl FnMut() -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let start = Instant::now();
-        let acc = work();
-        let elapsed = start.elapsed().as_secs_f64();
-        black_box(acc);
-        best = best.min(elapsed);
+/// Seconds taken by `sweeps` back-to-back runs of `work`.
+fn time(sweeps: u32, work: &mut impl FnMut() -> u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..sweeps {
+        black_box(work());
     }
-    best
+    start.elapsed().as_secs_f64()
+}
+
+/// This process's reading: observed over plain time, each side the
+/// minimum over [`PAIRS`] alternating samples.
+fn overhead_ratio() -> f64 {
+    let obs = Obs::disabled();
+    let mut plain = sweep_plain;
+    let mut observed = || sweep_observed(&obs);
+    // Equal work on both sides, checked before timing anything.
+    assert_eq!(plain(), observed());
+
+    // Enough sweeps per sample for it to last SAMPLE_S.
+    let mut sweeps = 1u32;
+    while time(sweeps, &mut plain) < SAMPLE_S {
+        sweeps *= 2;
+    }
+    let (mut best_plain, mut best_observed) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..PAIRS {
+        best_plain = best_plain.min(time(sweeps, &mut plain));
+        best_observed = best_observed.min(time(sweeps, &mut observed));
+    }
+    best_observed / best_plain.max(1e-12)
+}
+
+/// The measurement each child process runs; in the suite's own run it
+/// reports one more reading.
+#[test]
+fn overhead_sample() {
+    let _timing = TIMING.lock().unwrap_or_else(PoisonError::into_inner);
+    eprintln!("{RATIO_TAG}{}", overhead_ratio());
 }
 
 #[test]
 fn disabled_observability_is_under_five_percent() {
-    let obs = Obs::disabled();
-    // Equal work on both sides, checked before timing anything.
-    assert_eq!(sweep_plain(), sweep_observed(&obs));
-
-    // Warm up once each, then take minima.
-    let _ = (sweep_plain(), sweep_observed(&obs));
-    let plain = min_time(sweep_plain);
-    let observed = min_time(|| sweep_observed(&obs));
-
-    let ratio = observed / plain.max(1e-12);
+    let _timing = TIMING.lock().unwrap_or_else(PoisonError::into_inner);
+    let exe = std::env::current_exe().expect("path of the running test binary");
+    let mut ratios: Vec<f64> = (0..PROCESSES)
+        .map(|_| {
+            let child = Command::new(&exe)
+                .args(["--exact", "overhead_sample", "--nocapture"])
+                .output()
+                .expect("re-run the test binary");
+            let stderr = String::from_utf8_lossy(&child.stderr);
+            assert!(child.status.success(), "child run failed:\n{stderr}");
+            stderr
+                .lines()
+                .find_map(|line| line.split_once(RATIO_TAG))
+                .and_then(|(_, ratio)| ratio.trim().parse().ok())
+                .unwrap_or_else(|| panic!("child printed no ratio:\n{stderr}"))
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[PROCESSES / 2];
+    let percent = |ratio: f64| format!("{:+.2}%", (ratio - 1.0) * 100.0);
+    let readings: Vec<String> = ratios.iter().map(|&r| percent(r)).collect();
     eprintln!(
-        "no-op observability overhead: {:+.2}% (plain {:.3} ms, observed {:.3} ms, {} solves/sweep)",
-        (ratio - 1.0) * 100.0,
-        plain * 1e3,
-        observed * 1e3,
+        "no-op observability overhead: median {} over {PROCESSES} processes ({}), {} solves/sweep",
+        percent(median),
+        readings.join(", "),
         RATES * DEMANDS,
     );
     assert!(
-        ratio < 1.05,
-        "no-op observability overhead {:.2}% (plain {:.3} ms, observed {:.3} ms)",
-        (ratio - 1.0) * 100.0,
-        plain * 1e3,
-        observed * 1e3,
+        median < 1.05,
+        "no-op observability overhead: median {} over {PROCESSES} processes ({})",
+        percent(median),
+        readings.join(", "),
     );
 }

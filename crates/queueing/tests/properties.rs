@@ -10,11 +10,11 @@
     clippy::cast_precision_loss
 )]
 use chamulteon_queueing::capacity::{
-    self, max_arrival_rate_for_utilization, min_instances_for_response_time,
-    min_instances_for_response_time_quantile, min_instances_for_utilization,
+    self, min_instances_for_response_time, min_instances_for_response_time_quantile,
+    min_instances_for_utilization,
 };
 use chamulteon_queueing::erlang::{erlang_b, erlang_c, ErlangSweep};
-use chamulteon_queueing::{CapacityCache, MmnQueue, StationSpec, TandemNetwork};
+use chamulteon_queueing::{CapacityCache, MmnQueue};
 use proptest::prelude::*;
 
 proptest! {
@@ -81,10 +81,11 @@ proptest! {
         }
     }
 
-    /// min/max capacity functions are mutually consistent.
+    /// The utilization solver inverts the largest rate `n` instances absorb
+    /// at utilization ρ, λ = n·ρ/s.
     #[test]
     fn capacity_round_trip(n in 1u32..1000, s in 0.001f64..1.0, rho in 0.1f64..1.0) {
-        let lambda = max_arrival_rate_for_utilization(n, s, rho);
+        let lambda = f64::from(n) * rho / s;
         let back = min_instances_for_utilization(lambda, s, rho);
         prop_assert_eq!(back, n.max(1));
     }
@@ -101,26 +102,6 @@ proptest! {
         let q = MmnQueue::new(lambda, s, n).unwrap();
         prop_assert!(q.is_stable());
         prop_assert!(q.mean_response_time().unwrap() <= target + 1e-9);
-    }
-
-    /// Effective rates never increase along the chain and never exceed the
-    /// external rate.
-    #[test]
-    fn tandem_rates_never_amplified(
-        lambda in 0.0f64..1000.0,
-        n1 in 1u32..50, n2 in 1u32..50, n3 in 1u32..50,
-    ) {
-        let net = TandemNetwork::new(vec![
-            StationSpec::new(0.059, n1),
-            StationSpec::new(0.1, n2),
-            StationSpec::new(0.04, n3),
-        ]).unwrap();
-        let rates = net.effective_rates(lambda);
-        prop_assert_eq!(rates.len(), 3);
-        prop_assert!(rates[0] <= lambda + 1e-9);
-        for w in rates.windows(2) {
-            prop_assert!(w[1] <= w[0] + 1e-9);
-        }
     }
 
     /// The incremental Erlang sweep is bit-identical to the from-scratch
@@ -191,20 +172,5 @@ proptest! {
             min_instances_for_response_time_quantile(lambda, s, target, p, 1_000_000).unwrap();
         prop_assert!(cached >= exact, "cached {} < exact {}", cached, exact);
         prop_assert!(cached <= exact + 1, "cached {} ≫ exact {}", cached, exact);
-    }
-
-    /// The demand vector from the SLO sizing keeps every tier stable.
-    #[test]
-    fn tandem_slo_vector_stable(lambda in 1.0f64..300.0) {
-        let net = TandemNetwork::new(vec![
-            StationSpec::new(0.059, 1),
-            StationSpec::new(0.1, 1),
-            StationSpec::new(0.04, 1),
-        ]).unwrap();
-        let ns = net.min_instances_for_slo(lambda, 0.5, 1_000_000).unwrap();
-        let demands = [0.059, 0.1, 0.04];
-        for (i, &n) in ns.iter().enumerate() {
-            prop_assert!(lambda * demands[i] / f64::from(n) < 1.0);
-        }
     }
 }

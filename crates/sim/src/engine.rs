@@ -388,23 +388,6 @@ impl Simulation {
         self.stations[service].provisioned()
     }
 
-    /// Current queue length at a service. For a fluid station this is the
-    /// analytic backlog `max(mass − running, 0)` rounded to the nearest
-    /// request.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range index.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    pub fn queue_length(&self, service: usize) -> usize {
-        let st = &self.stations[service];
-        if st.regime == Regime::Fluid {
-            (st.mass - f64::from(st.running)).max(0.0).round() as usize
-        } else {
-            st.queue.len()
-        }
-    }
-
     /// The current vertical speed factor of a service (1.0 = nominal).
     ///
     /// # Panics

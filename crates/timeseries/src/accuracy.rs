@@ -22,45 +22,6 @@ pub fn mae(actual: &[f64], forecast: &[f64]) -> f64 {
         / n as f64
 }
 
-/// Root mean squared error over the common prefix length. NaN if empty.
-pub fn rmse(actual: &[f64], forecast: &[f64]) -> f64 {
-    let n = actual.len().min(forecast.len());
-    if n == 0 {
-        return f64::NAN;
-    }
-    (actual
-        .iter()
-        .zip(forecast)
-        .take(n)
-        .map(|(a, f)| (a - f) * (a - f))
-        .sum::<f64>()
-        / n as f64)
-        .sqrt()
-}
-
-/// Symmetric mean absolute percentage error in percent (0–200). Pairs where
-/// both values are zero contribute zero error. NaN if empty.
-pub fn smape(actual: &[f64], forecast: &[f64]) -> f64 {
-    let n = actual.len().min(forecast.len());
-    if n == 0 {
-        return f64::NAN;
-    }
-    let sum: f64 = actual
-        .iter()
-        .zip(forecast)
-        .take(n)
-        .map(|(a, f)| {
-            let denom = a.abs() + f.abs();
-            if denom <= f64::EPSILON {
-                0.0
-            } else {
-                2.0 * (a - f).abs() / denom
-            }
-        })
-        .sum();
-    100.0 * sum / n as f64
-}
-
 /// Mean absolute scaled error.
 ///
 /// `history` is the training series used to compute the scaling factor: the
@@ -108,25 +69,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mae_and_rmse_basic() {
+    fn mae_basic() {
         assert_eq!(mae(&[1.0, 2.0], &[1.0, 4.0]), 1.0);
-        assert_eq!(rmse(&[0.0, 0.0], &[3.0, 4.0]), (12.5f64).sqrt());
         assert!(mae(&[], &[]).is_nan());
-        assert!(rmse(&[1.0], &[]).is_nan());
+        assert!(mae(&[1.0], &[]).is_nan());
     }
 
     #[test]
     fn mae_uses_common_prefix() {
         assert_eq!(mae(&[1.0, 2.0, 3.0], &[2.0]), 1.0);
-    }
-
-    #[test]
-    fn smape_bounds_and_zero_handling() {
-        assert_eq!(smape(&[0.0], &[0.0]), 0.0);
-        // Maximal disagreement hits 200%.
-        assert!((smape(&[1.0], &[-1.0]) - 200.0).abs() < 1e-9);
-        let s = smape(&[10.0, 20.0], &[11.0, 19.0]);
-        assert!(s > 0.0 && s < 20.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`methods`] — classical baseline forecasters (naive, seasonal naive,
 //!   drift, mean, simple/Holt/Holt-Winters exponential smoothing, AR(p)),
 //! * [`telescope`] — the hybrid method used by Chamulteon,
-//! * [`accuracy`] — forecast accuracy measures (MASE, sMAPE, RMSE, MAE),
+//! * [`accuracy`] — forecast accuracy measures (MASE, MAE),
 //! * [`drift`] — the MASE-based forecast drift detector (§III-A1) that
 //!   decides when a fresh forecast is needed.
 //!
@@ -47,7 +47,7 @@ pub mod series;
 pub mod stats;
 pub mod telescope;
 
-pub use accuracy::{mae, mase, rmse, smape};
+pub use accuracy::{mae, mase};
 pub use decompose::{decompose_additive, Decomposition};
 pub use drift::DriftDetector;
 pub use error::ForecastError;

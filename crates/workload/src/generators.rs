@@ -103,74 +103,6 @@ pub fn bibsonomy_like(seed: u64, step: f64, duration: f64) -> LoadTrace {
     LoadTrace::new(step, rates).expect("generated rates are valid")
 }
 
-/// Generates a step-load trace: `low` req/s until `step_at` seconds, then
-/// `high` req/s for the remainder — the canonical workload for isolating
-/// reaction latency and bottleneck shifting.
-///
-/// # Panics
-///
-/// Panics if `step` or `duration` is not positive, or rates are negative.
-#[allow(clippy::expect_used)] // rates are clamped finite and non-negative above
-pub fn step_load(step: f64, duration: f64, low: f64, high: f64, step_at: f64) -> LoadTrace {
-    assert!(
-        step > 0.0 && duration > 0.0,
-        "step and duration must be positive"
-    );
-    assert!(low >= 0.0 && high >= 0.0, "rates must be non-negative");
-    let count = crate::convert::usize_from_f64((duration / step).ceil()).max(1);
-    let rates: Vec<f64> = (0..count)
-        .map(|i| {
-            if (i as f64) * step < step_at {
-                low
-            } else {
-                high
-            }
-        })
-        .collect();
-    LoadTrace::new(step, rates).expect("generated rates are valid")
-}
-
-/// Generates a flash-crowd trace: a steady baseline with one sudden spike
-/// of `amplification`× the baseline that decays exponentially — the
-/// "unanticipated flash crowds" Hist's reactive correction exists for
-/// (Urgaonkar et al. 2008).
-///
-/// # Panics
-///
-/// Panics if `step` or `duration` is not positive.
-#[allow(clippy::expect_used)] // rates are clamped finite and non-negative above
-pub fn flash_crowd(
-    seed: u64,
-    step: f64,
-    duration: f64,
-    baseline: f64,
-    amplification: f64,
-) -> LoadTrace {
-    assert!(
-        step > 0.0 && duration > 0.0,
-        "step and duration must be positive"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let count = crate::convert::usize_from_f64((duration / step).ceil()).max(1);
-    // Spike onset somewhere in the middle half of the trace.
-    let onset = count / 4 + rng.gen_range(0..(count / 2).max(1));
-    let decay_time = duration / 10.0; // spike decays over ~10% of the trace
-    let rates: Vec<f64> = (0..count)
-        .map(|i| {
-            let t = i as f64 * step;
-            let onset_t = onset as f64 * step;
-            let noise = 1.0 + 0.05 * (rng.gen::<f64>() * 2.0 - 1.0);
-            let spike = if t >= onset_t {
-                amplification.max(1.0) * (-(t - onset_t) / decay_time).exp()
-            } else {
-                0.0
-            };
-            (baseline.max(0.0) * (1.0 + spike) * noise).max(0.0)
-        })
-        .collect();
-    LoadTrace::new(step, rates).expect("generated rates are valid")
-}
-
 /// Helper for the paper's experiment sizing: the peak arrival rate (req/s)
 /// at which the whole application needs `total_instances` instances summed
 /// over all services, given the per-service demands and a target
@@ -279,39 +211,39 @@ mod tests {
     }
 
     #[test]
-    fn step_load_shape() {
-        let t = step_load(10.0, 100.0, 5.0, 50.0, 40.0);
-        assert_eq!(t.rate_at(0.0), 5.0);
-        assert_eq!(t.rate_at(39.0), 5.0);
-        assert_eq!(t.rate_at(40.0), 50.0);
-        assert_eq!(t.rate_at(99.0), 50.0);
-    }
-
-    #[test]
-    fn flash_crowd_has_one_big_spike() {
-        let t = flash_crowd(4, 60.0, 7200.0, 50.0, 5.0);
-        let stats_peak = t.peak_rate();
-        assert!(stats_peak > 200.0, "peak {stats_peak}");
-        // Before and long after the spike the trace sits near baseline.
-        assert!(t.rate_at(0.0) < 60.0);
-        // Deterministic in the seed.
-        assert_eq!(t, flash_crowd(4, 60.0, 7200.0, 50.0, 5.0));
-        assert_ne!(t, flash_crowd(5, 60.0, 7200.0, 50.0, 5.0));
-    }
-
-    #[test]
-    fn flash_crowd_decays_back_to_baseline() {
-        let t = flash_crowd(4, 60.0, 7200.0, 50.0, 5.0);
-        // Find the spike peak index, check the level 20+ samples later.
-        let peak_idx = t
-            .rates()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        if peak_idx + 30 < t.len() {
-            assert!(t.rates()[peak_idx + 30] < t.peak_rate() / 3.0);
+    fn generators_match_documented_shape() {
+        // The calibration claims of DESIGN.md §2, checked quantitatively on
+        // the statistics of one synthetic day per generator.
+        struct Shape {
+            peak_to_mean: f64,
+            burstiness: f64,
+            lag1_autocorrelation: f64,
         }
+        fn shape(trace: &LoadTrace) -> Shape {
+            let rates = trace.rates();
+            let n = rates.len() as f64;
+            let mean = trace.mean_rate();
+            let variance = rates.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / n;
+            let covariance: f64 = rates
+                .windows(2)
+                .map(|w| (w[0] - mean) * (w[1] - mean))
+                .sum();
+            let steps: f64 = rates.windows(2).map(|w| (w[1] - w[0]).abs()).sum();
+            Shape {
+                peak_to_mean: trace.peak_rate() / mean,
+                burstiness: steps / (n - 1.0) / mean,
+                lag1_autocorrelation: covariance / (variance * n),
+            }
+        }
+        let wiki = shape(&wikipedia_like(5, 60.0, DAY));
+        let bib = shape(&bibsonomy_like(5, 60.0, DAY));
+        // Both strongly diurnal => high lag-1 autocorrelation.
+        assert!(wiki.lag1_autocorrelation > 0.9);
+        assert!(bib.lag1_autocorrelation > 0.6);
+        // BibSonomy burstier and spikier than Wikipedia.
+        assert!(bib.burstiness > wiki.burstiness * 1.5);
+        assert!(bib.peak_to_mean > wiki.peak_to_mean);
+        // Diurnal swing: peak well above mean for both.
+        assert!(wiki.peak_to_mean > 1.4);
     }
 }

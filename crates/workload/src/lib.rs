@@ -9,7 +9,8 @@
 //!
 //! * [`LoadTrace`] — a piecewise-constant load-intensity profile with the
 //!   paper's transformations (time compression, peak rescaling) and CSV
-//!   import/export so the real traces can be dropped in when available,
+//!   import so the real traces can be dropped in when available
+//!   (`chamulteon-exp --trace FILE`),
 //! * [`generators`] — seeded synthetic generators reproducing the
 //!   documented shape of each trace ([`wikipedia_like`] — smooth, strongly
 //!   diurnal; [`bibsonomy_like`] — burstier with flash crowds),
@@ -40,10 +41,8 @@ pub mod arrivals;
 mod convert;
 pub mod error;
 pub mod generators;
-pub mod stats;
 pub mod trace;
 
 pub use arrivals::PoissonArrivals;
 pub use error::WorkloadError;
-pub use stats::{trace_stats, TraceStats};
 pub use trace::LoadTrace;
