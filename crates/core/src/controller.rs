@@ -2,7 +2,6 @@
 
 use crate::algorithm::{proactive_decisions, walk, SizingTrace};
 use crate::config::ChamulteonConfig;
-use crate::decision::{DecisionOrigin, DecisionStore, ScalingDecision};
 use crate::degradation::{DegradationLog, DegradationReason, Observation, SpikeGate};
 use crate::fox::{ChargingModel, Fox};
 use crate::snapshot::{
@@ -13,7 +12,13 @@ use chamulteon_forecast::{DriftDetector, Forecaster, TelescopeForecaster, TimeSe
 use chamulteon_obs::{Event, EventKind, Obs, PhaseTimer, Provenance, Sizing, Winner};
 use chamulteon_perfmodel::ApplicationModel;
 
-/// The forecast currently driving the proactive cycle.
+/// The forecast currently driving the proactive cycle, with the plan the
+/// proactive cycle derived from it.
+///
+/// Time resolution (§III-C) skips every proactive decision of an older
+/// forecast for a period a newer one covers. Each forecast re-plans the
+/// whole horizon from the tick it is made at, so the newest plan replaces
+/// the previous one whole and is the only source of proactive candidates.
 #[derive(Debug, Clone)]
 struct ActiveForecast {
     /// Index into the entry history at which the forecast was made (its
@@ -25,6 +30,59 @@ struct ActiveForecast {
     generation: u64,
     /// Whether the forecast passed the trust (MASE) threshold.
     trusted: bool,
+    /// Decision time: the tick time the forecast was made at.
+    start: f64,
+    /// Length of each plan row's window: the sample duration at `start`.
+    interval: f64,
+    /// Algorithm 1's targets, one row of every service's target per
+    /// forecast value, row-major.
+    plan: Vec<u32>,
+}
+
+impl ActiveForecast {
+    /// The plan row whose window covers `t`. Row `h`'s window starts at
+    /// `start + h·interval` and ends one `interval` later (exclusive);
+    /// where rounding lets two windows overlap, the later row wins, and a
+    /// `t` no window covers has no row.
+    fn row_at(&self, t: f64, services: usize) -> Option<&[u32]> {
+        (0..self.values.len()).rev().find_map(|h| {
+            let offset = f64::from(u32::try_from(h).unwrap_or(u32::MAX));
+            let start = self.start + offset * self.interval;
+            let end = start + self.interval;
+            if start <= t && t < end {
+                self.plan.get(h * services..(h + 1) * services)
+            } else {
+                None
+            }
+        })
+    }
+}
+
+/// Scope resolution (§III-C): "If the proactive decision is trustable and
+/// wants to scale up or down, the reactive decision is omitted.
+/// Otherwise, the proactive decision is skipped."
+///
+/// `proactive` is a service's `(target, trusted)` from the active plan,
+/// `reactive` its reactive target. The proactive target wins iff it is
+/// trusted and differs from `current`; otherwise the reactive target
+/// wins. Without a reactive target (the reactive cycle is disabled, as in
+/// the proactive-only ablation) the proactive target applies regardless
+/// of trust — there is nothing to fall back to and stale supply is
+/// strictly worse. With neither, the service holds `current`. Returns
+/// the chosen target and which side it came from.
+pub fn resolve_scope(
+    proactive: Option<(u32, bool)>,
+    current: u32,
+    reactive: Option<u32>,
+) -> (u32, Winner) {
+    match (proactive, reactive) {
+        (Some((target, trusted)), Some(_)) if trusted && target != current => {
+            (target, Winner::Proactive)
+        }
+        (_, Some(target)) => (target, Winner::Reactive),
+        (Some((target, _)), None) => (target, Winner::Proactive),
+        (None, None) => (current, Winner::Hold),
+    }
 }
 
 /// The coordinated multi-service auto-scaler.
@@ -41,7 +99,6 @@ pub struct Chamulteon {
     entry_history: Option<TimeSeries>,
     forecaster: TelescopeForecaster,
     drift: DriftDetector,
-    store: DecisionStore,
     forecast_generation: u64,
     active_forecast: Option<ActiveForecast>,
     fox: Option<Fox>,
@@ -78,7 +135,6 @@ impl Chamulteon {
             demand_estimators,
             entry_history: None,
             forecaster: TelescopeForecaster::default(),
-            store: DecisionStore::new(),
             forecast_generation: 0,
             active_forecast: None,
             fox: None,
@@ -212,9 +268,11 @@ impl Chamulteon {
                 made_at: f.made_at,
                 generation: f.generation,
                 trusted: f.trusted,
+                start: f.start,
+                interval: f.interval,
                 values: f.values.clone(),
+                plan: f.plan.clone(),
             }),
-            decisions: self.store.proactive().to_vec(),
             fox: self.fox.as_ref().map(|f| FoxState {
                 model: f.model().clone(),
                 release_window: f.release_window(),
@@ -241,13 +299,12 @@ impl Chamulteon {
     ///
     /// [`SnapshotError::Inconsistent`] when the snapshot's service count
     /// disagrees with `model`, an estimator window capacity differs from
-    /// `config.demand_window`, its entry history fails validation, or a
-    /// decision or active-forecast record is one
-    /// [`snapshot`](Chamulteon::snapshot) never writes: a reactive
-    /// decision, or one whose generation is ahead of the snapshot's
-    /// forecast generation; an active forecast without an entry history,
-    /// made past its end, of another generation than the snapshot's, or
-    /// with a value that is not a finite, non-negative rate.
+    /// `config.demand_window`, its entry history fails validation, or its
+    /// active forecast is one [`snapshot`](Chamulteon::snapshot) never
+    /// writes: without an entry history, made past its end, of another
+    /// generation than the snapshot's, with a value that is not a finite,
+    /// non-negative rate, or with a plan that is not one row of every
+    /// service's target per value.
     pub fn restore(
         model: ApplicationModel,
         config: ChamulteonConfig,
@@ -262,23 +319,11 @@ impl Chamulteon {
                 ),
             });
         }
-        // The store holds only proactive decisions from forecasts already
-        // made; any other record would outlive the forecasts meant to
-        // supersede it.
-        let generation = snapshot.forecast_generation;
-        if let Some(d) = snapshot.decisions.iter().find(|d| {
-            !matches!(d.origin, DecisionOrigin::Proactive { generation: g, .. } if g <= generation)
-        }) {
-            return Err(SnapshotError::Inconsistent {
-                message: format!(
-                    "service {} decision {:?} cannot be stored at forecast generation {generation}",
-                    d.service, d.origin
-                ),
-            });
-        }
         // The active forecast is the last one made: at a point of the
         // entry history, together with the generation bump, with the
-        // finite, non-negative values of a `Forecast`.
+        // finite, non-negative values of a `Forecast` and one plan row
+        // per value.
+        let generation = snapshot.forecast_generation;
         if let Some(f) = &snapshot.active_forecast {
             let problem = match &snapshot.entry_history {
                 None => Some("an active forecast without an entry history".to_owned()),
@@ -291,6 +336,13 @@ impl Chamulteon {
                     "active forecast of generation {} at forecast generation {generation}",
                     f.generation
                 )),
+                Some(_) if f.values.len().checked_mul(services) != Some(f.plan.len()) => {
+                    Some(format!(
+                        "active forecast plan of {} targets for {} values of {services} services",
+                        f.plan.len(),
+                        f.values.len()
+                    ))
+                }
                 Some(_) => f
                     .values
                     .iter()
@@ -345,8 +397,10 @@ impl Chamulteon {
             values: f.values.clone(),
             generation: f.generation,
             trusted: f.trusted,
+            start: f.start,
+            interval: f.interval,
+            plan: f.plan.clone(),
         });
-        controller.store = DecisionStore::restore(snapshot.decisions.clone());
         controller.forecast_generation = snapshot.forecast_generation;
         controller.forecasts_made = snapshot.forecasts_made;
         controller.fox = snapshot.fox.as_ref().map(|f| {
@@ -393,8 +447,8 @@ impl Chamulteon {
 
     /// The active forecast's `(rate, generation, trusted)` for the
     /// upcoming interval, when one is in play. Past the horizon the last
-    /// predicted value is reported (the store's decisions have expired by
-    /// then, but provenance should still name what the controller last
+    /// predicted value is reported (no plan row covers the tick by then,
+    /// but provenance should still name what the controller last
     /// believed).
     fn active_forecast_now(&self) -> Option<(f64, u64, bool)> {
         let forecast = self.active_forecast.as_ref()?;
@@ -673,7 +727,7 @@ impl Chamulteon {
         // hold-band verdict (pinned by the bit-identity tests).
         let mut reactive_trace =
             (tracing && self.config.reactive_enabled).then(SizingTrace::default);
-        let reactive: Vec<Option<ScalingDecision>> = if self.config.reactive_enabled {
+        let reactive = self.config.reactive_enabled.then(|| {
             walk(
                 &self.model,
                 entry_rate,
@@ -682,21 +736,7 @@ impl Chamulteon {
                 &self.config,
                 reactive_trace.as_mut(),
             )
-            .iter()
-            .enumerate()
-            .map(|(service, &target)| {
-                Some(ScalingDecision {
-                    service,
-                    target,
-                    start: time,
-                    end: time + interval,
-                    origin: DecisionOrigin::Reactive,
-                })
-            })
-            .collect()
-        } else {
-            vec![None; self.model.service_count()]
-        };
+        });
         timer.lap(self.obs.metrics(), "cycle.reactive_us");
 
         if let Some(trace) = &reactive_trace {
@@ -718,43 +758,28 @@ impl Chamulteon {
         }
 
         // 5. Conflict resolution + 6. FOX review.
-        self.store.evict_expired(time);
         let forecast_now = self.active_forecast_now();
         let service_count = self.model.service_count();
-        let proactive = self.store.candidates_at(time, service_count);
+        let plan = self
+            .active_forecast
+            .as_ref()
+            .and_then(|f| f.row_at(time, service_count).map(|row| (row, f.trusted)));
         let mut targets = Vec::with_capacity(service_count);
         for service in 0..service_count {
             let current = instances[service];
-            let resolved = DecisionStore::resolve(proactive[service], current, reactive[service]);
-            let (chosen, winner, origin_generation, origin_trusted) = match resolved {
-                Some(decision) => match decision.origin {
-                    DecisionOrigin::Proactive {
-                        generation,
-                        trusted,
-                    } => (
-                        decision.target,
-                        Winner::Proactive,
-                        Some(generation),
-                        Some(trusted),
-                    ),
-                    DecisionOrigin::Reactive => (decision.target, Winner::Reactive, None, None),
-                },
-                None => (current, Winner::Hold, None, None),
-            };
+            let proactive =
+                plan.and_then(|(row, trusted)| row.get(service).map(|&target| (target, trusted)));
+            let reactive = reactive.as_ref().map(|walked| walked[service]);
+            let (chosen, winner) = resolve_scope(proactive, current, reactive);
             if tracing {
-                let proactive_candidate = proactive[service];
-                let reactive_candidate = reactive[service];
                 self.obs.record_with(|| {
                     Event::service(
                         time,
                         service,
                         EventKind::ConflictResolution {
-                            proactive: proactive_candidate.map(|d| d.target),
-                            proactive_trusted: proactive_candidate.and_then(|d| match d.origin {
-                                DecisionOrigin::Proactive { trusted, .. } => Some(trusted),
-                                DecisionOrigin::Reactive => None,
-                            }),
-                            reactive: reactive_candidate.map(|d| d.target),
+                            proactive: proactive.map(|(target, _)| target),
+                            proactive_trusted: proactive.map(|(_, trusted)| trusted),
+                            reactive,
                             winner,
                             chosen,
                         },
@@ -816,10 +841,8 @@ impl Chamulteon {
                             offered_rate,
                             demand,
                             forecast_rate: forecast_now.map(|(rate, _, _)| rate),
-                            forecast_generation: origin_generation
-                                .or(forecast_now.map(|(_, generation, _)| generation)),
-                            forecast_trusted: origin_trusted
-                                .or(forecast_now.map(|(_, _, trusted)| trusted)),
+                            forecast_generation: forecast_now.map(|(_, generation, _)| generation),
+                            forecast_trusted: forecast_now.map(|(_, _, trusted)| trusted),
                             winner,
                             sizing,
                             fox_suppressed,
@@ -836,8 +859,8 @@ impl Chamulteon {
     }
 
     /// Runs the proactive cycle: re-forecasts when needed (forecast
-    /// exhausted or drifted) and refreshes the decision store for the next
-    /// `forecast_horizon` intervals.
+    /// exhausted or drifted) and plans the next `forecast_horizon`
+    /// intervals from the new forecast.
     fn run_proactive_cycle(
         &mut self,
         time: f64,
@@ -882,16 +905,11 @@ impl Chamulteon {
         };
         self.forecasts_made += 1;
         self.forecast_generation += 1;
+        let made_at = history.len();
         let trusted = forecast
             .in_sample_mase()
             .map(|m| m <= self.config.trust_threshold)
             .unwrap_or(false);
-        self.active_forecast = Some(ActiveForecast {
-            made_at: history.len(),
-            values: forecast.values().to_vec(),
-            generation: self.forecast_generation,
-            trusted,
-        });
         let generation = self.forecast_generation;
         let mase = forecast.in_sample_mase();
         self.obs.record_with(|| {
@@ -907,30 +925,23 @@ impl Chamulteon {
         });
         self.obs.metrics().increment("forecasts.made");
 
-        // Chain decisions across the horizon: each window starts from the
-        // previous window's targets.
+        // Chain decisions across the horizon: each row starts from the
+        // previous row's targets.
         let mut current = instances.to_vec();
-        let mut decisions = Vec::with_capacity(horizon * self.model.service_count());
-        for (h, &rate) in forecast.values().iter().enumerate() {
-            let targets = proactive_decisions(&self.model, rate, demands, &current, &self.config);
-            let offset = f64::from(u32::try_from(h).unwrap_or(u32::MAX));
-            let start = time + offset * interval;
-            let end = start + interval;
-            for (service, &target) in targets.iter().enumerate() {
-                decisions.push(ScalingDecision {
-                    service,
-                    target,
-                    start,
-                    end,
-                    origin: DecisionOrigin::Proactive {
-                        generation: self.forecast_generation,
-                        trusted,
-                    },
-                });
-            }
-            current = targets;
+        let mut plan = Vec::with_capacity(forecast.values().len() * current.len());
+        for &rate in forecast.values() {
+            current = proactive_decisions(&self.model, rate, demands, &current, &self.config);
+            plan.extend_from_slice(&current);
         }
-        self.store.add_proactive(&decisions);
+        self.active_forecast = Some(ActiveForecast {
+            made_at,
+            values: forecast.values().to_vec(),
+            generation,
+            trusted,
+            start: time,
+            interval,
+            plan,
+        });
     }
 }
 
@@ -942,6 +953,7 @@ impl Chamulteon {
 )] // test fixtures cast freely
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample(interval: f64, rate: f64, demand: f64, n: u32) -> MonitoringSample {
         let arrivals = (rate * interval).round() as u64;
@@ -1073,6 +1085,204 @@ mod tests {
             n[1],
             expected_validation
         );
+    }
+
+    #[test]
+    fn trusted_proactive_that_scales_overrides_reactive() {
+        assert_eq!(
+            resolve_scope(Some((5, true)), 2, Some(3)),
+            (5, Winner::Proactive)
+        );
+    }
+
+    #[test]
+    fn untrusted_proactive_is_skipped() {
+        assert_eq!(
+            resolve_scope(Some((5, false)), 2, Some(3)),
+            (3, Winner::Reactive)
+        );
+    }
+
+    #[test]
+    fn proactive_noop_defers_to_reactive() {
+        // Trusted but target == current: it does not "want to scale".
+        assert_eq!(
+            resolve_scope(Some((2, true)), 2, Some(4)),
+            (4, Winner::Reactive)
+        );
+    }
+
+    #[test]
+    fn resolve_without_reactive_uses_proactive_regardless_of_trust() {
+        assert_eq!(
+            resolve_scope(Some((5, true)), 2, None),
+            (5, Winner::Proactive)
+        );
+        // Untrusted but no alternative: still applied.
+        assert_eq!(
+            resolve_scope(Some((5, false)), 2, None),
+            (5, Winner::Proactive)
+        );
+        // Nothing at all: the service holds its count.
+        assert_eq!(resolve_scope(None, 2, None), (2, Winner::Hold));
+    }
+
+    /// One proactive decision as the multi-generation store kept it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct StoredDecision {
+        service: usize,
+        target: u32,
+        start: f64,
+        end: f64,
+        generation: u64,
+        trusted: bool,
+    }
+
+    /// Time resolution one decision at a time, as the store applied it:
+    /// a new decision evicts every stored decision of its service whose
+    /// window overlaps its own and whose generation is strictly older,
+    /// then is pushed.
+    fn oracle_add(store: &mut Vec<StoredDecision>, batch: &[StoredDecision]) {
+        for new in batch {
+            store.retain(|old| {
+                let overlaps =
+                    old.service == new.service && old.start < new.end && new.start < old.end;
+                !(overlaps && old.generation < new.generation)
+            });
+            store.push(*new);
+        }
+    }
+
+    /// The store's candidate for `service` at `t`: the covering decision
+    /// of the newest generation, the last one on a tie.
+    fn oracle_at(store: &[StoredDecision], service: usize, t: f64) -> Option<StoredDecision> {
+        store
+            .iter()
+            .filter(|d| d.service == service && d.start <= t && t < d.end)
+            .max_by_key(|d| d.generation)
+            .copied()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The plan row against the multi-generation store it replaced,
+        /// fed the controller's forecasts: one generation per forecast, H
+        /// rows of S targets from the forecast tick, a constant interval
+        /// of n + 0.1 s (no binary fraction, so neighbouring windows
+        /// overlap or part by rounding), and re-forecasts mid-horizon, at
+        /// exhaustion (gap 0) or past it (a failed forecast). At every
+        /// tick time k·Δ, after expired decisions are dropped, each
+        /// service's store candidate is the plan row's target.
+        #[test]
+        fn plan_rows_match_the_multi_generation_store(
+            services in 1usize..4,
+            rows in 1usize..10,
+            whole_seconds in 0u32..600,
+            forecasts in prop::collection::vec((0usize..12, any::<bool>()), 1..8),
+        ) {
+            let interval = f64::from(whole_seconds) + 0.1;
+            let mut store = Vec::new();
+            let mut tick = 0u32;
+            for (generation, (gap, trusted)) in (1u64..).zip(forecasts) {
+                let gap = if gap == 0 { rows } else { gap };
+                let start = f64::from(tick) * interval;
+                let mut batch = Vec::new();
+                let mut plan = Vec::new();
+                for h in 0..rows {
+                    let offset = f64::from(u32::try_from(h).unwrap_or(u32::MAX));
+                    let row_start = start + offset * interval;
+                    for service in 0..services {
+                        let target = (generation as u32 * 100 + h as u32) * 10 + service as u32;
+                        plan.push(target);
+                        batch.push(StoredDecision {
+                            service,
+                            target,
+                            start: row_start,
+                            end: row_start + interval,
+                            generation,
+                            trusted,
+                        });
+                    }
+                }
+                oracle_add(&mut store, &batch);
+                let forecast = ActiveForecast {
+                    made_at: 0,
+                    values: vec![0.0; rows],
+                    generation,
+                    trusted,
+                    start,
+                    interval,
+                    plan,
+                };
+                for _ in 0..gap {
+                    let t = f64::from(tick) * interval;
+                    store.retain(|d| d.end > t);
+                    let row = forecast.row_at(t, services);
+                    for service in 0..services {
+                        let want = oracle_at(&store, service, t);
+                        prop_assert_eq!(
+                            want.map(|d| (d.target, d.generation, d.trusted)),
+                            row.map(|row| (row[service], generation, trusted)),
+                            "tick {} (t = {}), service {}", tick, t, service
+                        );
+                    }
+                    tick += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shorter_reforecast_leaves_no_candidate_past_its_horizon() {
+        let season =
+            |k: usize| 50.0 + 20.0 * ((k % 12) as f64 / 12.0 * std::f64::consts::TAU).sin();
+        let samples = |interval: f64, rate: f64| -> Vec<MonitoringSample> {
+            let demands = [0.059, 0.1, 0.04];
+            let instances = [5, 9, 4];
+            (0..3)
+                .map(|i| sample(interval, rate, demands[i], instances[i]))
+                .collect()
+        };
+        let (obs, ring) = chamulteon_obs::Obs::recording(1 << 12);
+        let mut c = controller(ChamulteonConfig::default()).with_obs(obs);
+        c.preload_history(120.0, &(0..24).map(season).collect::<Vec<_>>());
+        // 120 s samples: eight 120 s rows from t = 120 cover [120, 1080).
+        let _ = c.tick(120.0, &samples(120.0, season(24)));
+        let older = c
+            .active_forecast
+            .clone()
+            .expect("forecast on the first tick");
+        // A spiked 60 s sample drifts: eight 60 s rows from t = 180 cover
+        // [180, 660).
+        let _ = c.tick(180.0, &samples(60.0, 400.0));
+        assert_eq!(c.forecasts_made(), 2);
+        // t = 750 is past the new plan and inside the old one, whose rows
+        // from 720 on overlap none of the new plan's windows. The entry
+        // sample is missing, so the history does not grow and nothing
+        // re-forecasts.
+        assert!(older.row_at(750.0, 3).is_some());
+        let fresh = samples(60.0, 50.0);
+        let _ = c.tick_observed(
+            750.0,
+            &[
+                Observation::Missing,
+                Observation::Sample(fresh[1]),
+                Observation::Sample(fresh[2]),
+            ],
+        );
+        assert_eq!(c.forecasts_made(), 2);
+        let events = ring.take();
+        let candidates: Vec<Option<u32>> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ConflictResolution { proactive, .. } => Some(proactive),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(candidates.len(), 9, "three resolutions per tick");
+        assert!(candidates[..6].iter().all(Option::is_some));
+        assert_eq!(candidates[6..], [None; 3]);
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //! removing bottleneck shifting and oscillations. A traced controller runs
 //! that same walk and only records each service's offered rate and
 //! held/solved verdict. Conflicts between the cycles are resolved by
-//! decision scope and forecast recency ([`decision::DecisionStore`],
-//! §III-C).
+//! forecast recency and decision scope (§III-C): each forecast's plan
+//! replaces the previous forecast's whole, and
+//! [`controller::resolve_scope`] picks between the plan's row for the
+//! current tick and the reactive target.
 //!
 //! # Example
 //!
@@ -62,8 +64,6 @@ pub mod cluster;
 pub mod config;
 /// The Chamulteon controller: both cycles, wired together.
 pub mod controller;
-/// Scaling decisions and the conflict resolution of §III-C.
-pub mod decision;
 /// The graceful-degradation ladder for missing or stale inputs.
 pub mod degradation;
 /// FOX — the cost-awareness component (Lesch et al., ICPE 2018; §III-A3).
@@ -81,8 +81,7 @@ pub use cluster::{
     TenantVerdict, WarmLease, CLUSTER_SNAPSHOT_VERSION,
 };
 pub use config::ChamulteonConfig;
-pub use controller::Chamulteon;
-pub use decision::{DecisionOrigin, DecisionStore, ScalingDecision};
+pub use controller::{resolve_scope, Chamulteon};
 pub use degradation::{
     DegradationEvent, DegradationLog, DegradationReason, Observation, RetryPolicy, SpikeGate,
 };

@@ -16,12 +16,12 @@
 //! # What is captured
 //!
 //! Per-service demand-estimator windows and smoothed estimates, the entry
-//! arrival-rate history, the active forecast and its generation counters,
-//! the proactive decision store (in exact vector order — generation ties
-//! resolve by position), the FOX lease books with open billing intervals
-//! (in exact book order — the cheapest-lease selection observes it),
-//! spike-gate and hold-last state, the 1-based cycle counter, and the
-//! degradation log.
+//! arrival-rate history, the active forecast with its generation counters
+//! and the proactive plan derived from it (decision time, row interval and
+//! every row's targets — the only proactive decisions the controller
+//! holds), the FOX lease books with open billing intervals (in exact book
+//! order — the cheapest-lease selection observes it), spike-gate and
+//! hold-last state, the 1-based cycle counter, and the degradation log.
 //!
 //! # What is deliberately *not* captured
 //!
@@ -38,8 +38,8 @@
 //! keys in a fixed schema order, finite `f64`s rendered with Rust's
 //! shortest-round-trip `Display` (parse → re-render is the identity),
 //! non-finite values as `null` (read back as NaN), optional fields
-//! omitted — never `null` — and `f64` / `u32` arrays for history and
-//! lease vectors. Decoding reads one line at a time and sizes nothing
+//! omitted — never `null` — and `f64` / `u32` arrays for history, plan
+//! and lease vectors. Decoding reads one line at a time and sizes nothing
 //! from a declared count before the records it counts have been read.
 //! The first line is a header carrying [`SNAPSHOT_VERSION`]; any other
 //! version is rejected with [`SnapshotError::UnsupportedVersion`] instead
@@ -53,14 +53,13 @@
 //! [`ChamulteonConfig`]: crate::config::ChamulteonConfig
 //! [`ClusterArbiter::snapshot`]: crate::cluster::ClusterArbiter::snapshot
 
-use crate::decision::{DecisionOrigin, ScalingDecision};
 use crate::degradation::{DegradationEvent, DegradationReason};
 use crate::fox::ChargingModel;
 use chamulteon_demand::MonitoringSample;
 use chamulteon_obs::json::{self, JsonError, Record, Writer};
 
 /// The schema version this build writes and the only one it restores.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// The schema identifier on a snapshot's header line.
 const SNAPSHOT_SCHEMA: &str = "chamulteon-snapshot";
@@ -84,13 +83,17 @@ pub(crate) struct HistoryState {
     pub(crate) values: Vec<f64>,
 }
 
-/// Captured active forecast.
+/// Captured active forecast and its plan.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ForecastState {
     pub(crate) made_at: usize,
     pub(crate) generation: u64,
     pub(crate) trusted: bool,
+    pub(crate) start: f64,
+    pub(crate) interval: f64,
     pub(crate) values: Vec<f64>,
+    /// One row of every service's target per value, row-major.
+    pub(crate) plan: Vec<u32>,
 }
 
 /// Captured FOX reviewer state, lease books in exact order.
@@ -122,8 +125,6 @@ pub struct ControllerSnapshot {
     pub(crate) estimators: Vec<EstimatorState>,
     pub(crate) entry_history: Option<HistoryState>,
     pub(crate) active_forecast: Option<ForecastState>,
-    /// Proactive decision store contents, exact vector order.
-    pub(crate) decisions: Vec<ScalingDecision>,
     pub(crate) fox: Option<FoxState>,
     /// Per-service `(last accepted rate, rejection streak)` gate state.
     pub(crate) spike_gates: Vec<(Option<f64>, u32)>,
@@ -284,22 +285,10 @@ impl ControllerSnapshot {
                 w.usize("made_at", forecast.made_at)
                     .u64("generation", forecast.generation)
                     .bool("trusted", forecast.trusted)
-                    .f64_array("values", &forecast.values);
-            });
-        }
-        for decision in &self.decisions {
-            write_record(&mut out, "decision", |w| {
-                w.usize("service", decision.service)
-                    .u32("target", decision.target)
-                    .f64("start", decision.start)
-                    .f64("end", decision.end);
-                if let DecisionOrigin::Proactive {
-                    generation,
-                    trusted,
-                } = decision.origin
-                {
-                    w.u64("generation", generation).bool("trusted", trusted);
-                }
+                    .f64("start", forecast.start)
+                    .f64("interval", forecast.interval)
+                    .f64_array("values", &forecast.values)
+                    .u32_array("plan", &forecast.plan);
             });
         }
         if let Some(fox) = &self.fox {
@@ -370,7 +359,6 @@ impl ControllerSnapshot {
             estimators: Vec::new(),
             entry_history: None,
             active_forecast: None,
-            decisions: Vec::new(),
             fox: None,
             spike_gates: Vec::new(),
             last_good_samples: Vec::new(),
@@ -426,23 +414,10 @@ impl ControllerSnapshot {
                         made_at: rec.usize("made_at")?,
                         generation: rec.u64("generation")?,
                         trusted: rec.bool("trusted")?,
-                        values: rec.f64_array("values")?,
-                    });
-                }
-                "decision" => {
-                    let origin = match rec.opt_u64("generation")? {
-                        Some(generation) => DecisionOrigin::Proactive {
-                            generation,
-                            trusted: rec.bool("trusted")?,
-                        },
-                        None => DecisionOrigin::Reactive,
-                    };
-                    snapshot.decisions.push(ScalingDecision {
-                        service: in_range(&rec)?,
-                        target: rec.u32("target")?,
                         start: rec.f64("start")?,
-                        end: rec.f64("end")?,
-                        origin,
+                        interval: rec.f64("interval")?,
+                        values: rec.f64_array("values")?,
+                        plan: rec.u32_array("plan")?,
                     });
                 }
                 "fox" => {
@@ -550,9 +525,8 @@ mod tests {
         let mut c = Chamulteon::new(model, ChamulteonConfig::default())
             .with_fox(ChargingModel::gcp_per_minute());
         let services = c.model().service_count();
-        // Stop at cycle 20: the first forecast lands at cycle 13 and its
-        // proactive decisions survive (unpruned) until cycle 21, so the
-        // snapshot exercises the decision records too.
+        // Stop at cycle 20: the first forecast lands at cycle 13, so the
+        // snapshot carries an active forecast and its plan.
         for k in 0..20 {
             let t = 60.0 * (k + 1) as f64;
             let _ = c.tick_observed(t, &observations_at(k, services));
@@ -564,7 +538,13 @@ mod tests {
     fn encode_decode_round_trips_and_is_byte_stable() {
         let snapshot = controller_with_state().snapshot();
         assert!(snapshot.forecasts_made > 0, "forecast state must be live");
-        assert!(!snapshot.decisions.is_empty(), "decisions must be live");
+        assert!(
+            snapshot
+                .active_forecast
+                .as_ref()
+                .is_some_and(|f| !f.plan.is_empty()),
+            "the plan must be live"
+        );
         assert!(!snapshot.degradation.is_empty(), "dropouts must be logged");
         let text = snapshot.encode();
         let decoded = ControllerSnapshot::decode(&text).expect("decodes");
@@ -619,11 +599,15 @@ mod tests {
     #[test]
     fn unknown_versions_are_rejected_explicitly() {
         let text = controller_with_state().snapshot().encode();
-        let future = text.replacen("\"version\":1", "\"version\":2", 1);
-        assert_eq!(
-            ControllerSnapshot::decode(&future),
-            Err(SnapshotError::UnsupportedVersion { found: 2 })
-        );
+        let current = format!("\"version\":{SNAPSHOT_VERSION}");
+        // The previous format and a future one.
+        for found in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            let other = text.replacen(&current, &format!("\"version\":{found}"), 1);
+            assert_eq!(
+                ControllerSnapshot::decode(&other),
+                Err(SnapshotError::UnsupportedVersion { found })
+            );
+        }
     }
 
     #[test]
@@ -667,11 +651,13 @@ mod tests {
     fn declared_counts_size_nothing_before_their_records() {
         // One header line declaring 10^15 services: no estimator records
         // follow, so the count is never trusted with an allocation.
-        let header = "{\"kind\":\"header\",\"schema\":\"chamulteon-snapshot\",\"version\":1,\
-                      \"services\":1000000000000000,\"ticks\":0,\"forecast_generation\":0,\
-                      \"forecasts_made\":0}\n";
+        let header = format!(
+            "{{\"kind\":\"header\",\"schema\":\"chamulteon-snapshot\",\
+             \"version\":{SNAPSHOT_VERSION},\"services\":1000000000000000,\"ticks\":0,\
+             \"forecast_generation\":0,\"forecasts_made\":0}}\n"
+        );
         assert!(matches!(
-            ControllerSnapshot::decode(header),
+            ControllerSnapshot::decode(&header),
             Err(SnapshotError::Inconsistent { .. })
         ));
     }
@@ -714,41 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_decisions_the_controller_cannot_have_made() {
-        let model = ApplicationModel::paper_benchmark();
-        let config = ChamulteonConfig::default();
-        let snapshot = controller_with_state().snapshot();
-        let generation = snapshot.forecast_generation;
-        assert!(
-            snapshot.decisions.iter().any(|d| matches!(
-                d.origin,
-                DecisionOrigin::Proactive { generation: g, .. } if g == generation
-            )),
-            "decisions of the current generation must be live"
-        );
-        assert!(Chamulteon::restore(model.clone(), config.clone(), &snapshot).is_ok());
-        // A decision from a forecast the controller has not made yet.
-        let mut ahead = snapshot.clone();
-        ahead.decisions[0].origin = DecisionOrigin::Proactive {
-            generation: generation + 1,
-            trusted: true,
-        };
-        // A reactive decision: the store holds only proactive ones.
-        let mut reactive = snapshot.clone();
-        reactive.decisions[0].origin = DecisionOrigin::Reactive;
-        for (what, forged) in [("ahead", ahead), ("reactive", reactive)] {
-            let decoded = ControllerSnapshot::decode(&forged.encode()).expect("well-formed");
-            assert!(
-                matches!(
-                    Chamulteon::restore(model.clone(), config.clone(), &decoded),
-                    Err(SnapshotError::Inconsistent { .. })
-                ),
-                "{what} decision restored"
-            );
-        }
-    }
-
-    #[test]
     fn restore_rejects_a_forecast_the_controller_cannot_have_made() {
         let model = ApplicationModel::paper_benchmark();
         let config = ChamulteonConfig::default();
@@ -777,6 +728,20 @@ mod tests {
             ("of an earlier generation", forge(&|_, f| f.generation -= 1)),
             ("with NaN values", forge(&|_, f| f.values.fill(f64::NAN))),
             ("with negative values", forge(&|_, f| f.values.fill(-5.0))),
+            // The plan holds one row of every service's target per value.
+            (
+                "with a target missing",
+                forge(&|_, f| f.plan.truncate(f.plan.len() - 1)),
+            ),
+            ("with a target too many", forge(&|_, f| f.plan.push(1))),
+            (
+                "with a row missing",
+                forge(&|_, f| f.plan.truncate(f.plan.len() - 3)),
+            ),
+            (
+                "with a row too many",
+                forge(&|_, f| f.plan.extend([1, 2, 3])),
+            ),
         ];
         for (what, forged) in cases {
             let decoded = ControllerSnapshot::decode(&forged.encode()).expect("well-formed");

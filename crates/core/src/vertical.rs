@@ -102,32 +102,6 @@ impl VerticalPolicy {
         )
     }
 
-    /// A ladder where bigger instances carry a price *premium* (burstable
-    /// markets): horizontal scaling should win except at instance-count
-    /// limits.
-    pub fn premium_vertical() -> Self {
-        VerticalPolicy::new(
-            vec![
-                InstanceSize {
-                    name: "small".into(),
-                    speed: 1.0,
-                    cost_per_hour: 1.0,
-                },
-                InstanceSize {
-                    name: "large".into(),
-                    speed: 2.0,
-                    cost_per_hour: 2.4,
-                },
-                InstanceSize {
-                    name: "xlarge".into(),
-                    speed: 4.0,
-                    cost_per_hour: 5.5,
-                },
-            ],
-            0.0,
-        )
-    }
-
     /// The size ladder.
     pub fn sizes(&self) -> &[InstanceSize] {
         &self.sizes
@@ -301,18 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn premium_vertical_prefers_horizontal() {
-        let p = VerticalPolicy::premium_vertical();
-        let d = p.decide(100.0, 0.1, 0.8, 1, 1000);
-        assert_eq!(p.sizes()[d.size_index].name, "small");
-        assert_eq!(d.instances, 13);
-    }
-
-    #[test]
     fn instance_limit_forces_vertical() {
-        // Even under premium pricing, a cap of 5 instances forces bigger
-        // sizes at high load.
-        let p = VerticalPolicy::premium_vertical();
+        // A cap of 5 instances forces bigger sizes at high load.
+        let p = VerticalPolicy::ec2_like();
         let d = p.decide(100.0, 0.1, 0.8, 1, 5);
         assert!(p.sizes()[d.size_index].speed > 1.0, "chose {:?}", d);
         // Capacity must cover the load: n·speed ≥ 12.5.
@@ -321,7 +286,7 @@ mod tests {
 
     #[test]
     fn infeasible_load_returns_biggest_effort() {
-        let p = VerticalPolicy::premium_vertical();
+        let p = VerticalPolicy::ec2_like();
         let d = p.decide(10_000.0, 0.1, 0.8, 1, 3);
         assert_eq!(d.instances, 3);
         // Picks the largest size when nothing fits.

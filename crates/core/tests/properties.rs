@@ -10,10 +10,11 @@
     clippy::cast_precision_loss
 )]
 use chamulteon::{
-    proactive_decisions, Chamulteon, ChamulteonConfig, ChargingModel, DecisionOrigin,
-    DecisionStore, Fox, RetryPolicy, ScalingDecision, VerticalPolicy,
+    proactive_decisions, resolve_scope, Chamulteon, ChamulteonConfig, ChargingModel, Fox,
+    RetryPolicy, VerticalPolicy,
 };
 use chamulteon_demand::MonitoringSample;
+use chamulteon_obs::Winner;
 use chamulteon_perfmodel::ApplicationModel;
 use proptest::prelude::*;
 
@@ -24,109 +25,6 @@ fn sample_for(rate: f64, demand: f64, n: u32) -> MonitoringSample {
     MonitoringSample::new(60.0, (rate * 60.0).round() as u64, util, n, None)
         .unwrap()
         .with_completions((rate.min(capacity) * 60.0).round() as u64)
-}
-
-/// The per-decision reference for [`DecisionStore::add_proactive`]: one
-/// `retain` over the whole store for every proactive batch decision, then
-/// a push.
-fn oracle_add(store: &mut Vec<ScalingDecision>, batch: &[ScalingDecision]) {
-    for new in batch {
-        let DecisionOrigin::Proactive {
-            generation: new_gen,
-            ..
-        } = new.origin
-        else {
-            continue; // only proactive decisions are stored
-        };
-        store.retain(|old| {
-            let DecisionOrigin::Proactive { generation, .. } = old.origin else {
-                return true;
-            };
-            let overlaps = old.service == new.service && old.start < new.end && new.start < old.end;
-            !(overlaps && generation < new_gen)
-        });
-        store.push(*new);
-    }
-}
-
-/// The per-service reference for [`DecisionStore::candidates_at`]: the
-/// covering decision of the newest generation, the last one on a tie.
-fn oracle_at(store: &[ScalingDecision], service: usize, t: f64) -> Option<ScalingDecision> {
-    store
-        .iter()
-        .filter(|d| d.service == service && d.covers(t))
-        .max_by_key(|d| match d.origin {
-            DecisionOrigin::Proactive { generation, .. } => generation,
-            DecisionOrigin::Reactive => 0,
-        })
-        .copied()
-}
-
-/// `((service, target), (start slot, slots), (generation, trusted, kind))`;
-/// kind 0 is a reactive decision.
-type DecisionDraw = ((usize, u32), (u32, u32), (u64, bool, u8));
-
-/// A decision on a 60 s grid, so touching windows (`[a, b)` then
-/// `[b, c)`) and equal generations at one `t` are common.
-fn drawn_decision(draw: DecisionDraw) -> ScalingDecision {
-    let ((service, target), (slot, slots), (generation, trusted, kind)) = draw;
-    let start = f64::from(slot) * 60.0;
-    ScalingDecision {
-        service,
-        target,
-        start,
-        end: start + f64::from(slots) * 60.0,
-        origin: if kind == 0 {
-            DecisionOrigin::Reactive
-        } else {
-            DecisionOrigin::Proactive {
-                generation,
-                trusted,
-            }
-        },
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3000))]
-
-    /// The one-pass store against the per-decision loop it replaced:
-    /// random batches (mixed generations, reactive entries, repeated
-    /// services, touching windows) leave the same vector, order included,
-    /// and every service's candidate at a random `t` — half-slot steps
-    /// hit window boundaries and midpoints — is the oracle's.
-    #[test]
-    fn decision_store_matches_the_per_decision_loop(
-        steps in prop::collection::vec(
-            (
-                prop::collection::vec(
-                    ((0usize..4, 1u32..9), (0u32..8, 1u32..4), (0u64..5, any::<bool>(), 0u8..6)),
-                    0..16,
-                ),
-                0u32..24,
-                any::<bool>(),
-            ),
-            1..8,
-        ),
-    ) {
-        let mut store = DecisionStore::new();
-        let mut oracle = Vec::new();
-        for (draws, half_slot, expire) in steps {
-            let batch: Vec<ScalingDecision> = draws.into_iter().map(drawn_decision).collect();
-            store.add_proactive(&batch);
-            oracle_add(&mut oracle, &batch);
-            prop_assert_eq!(store.proactive(), &oracle[..]);
-            let t = f64::from(half_slot) * 30.0;
-            let candidates = store.candidates_at(t, 5);
-            for (service, &candidate) in candidates.iter().enumerate() {
-                prop_assert_eq!(candidate, oracle_at(&oracle, service, t));
-            }
-            if expire {
-                store.evict_expired(t);
-                oracle.retain(|d| d.end > t);
-            }
-        }
-    }
 }
 
 proptest! {
@@ -207,8 +105,8 @@ proptest! {
         }
     }
 
-    /// Decision-store resolution never invents targets: the resolved
-    /// decision is always one of the inputs.
+    /// Scope resolution never invents targets: the resolved target is
+    /// always one of the inputs.
     #[test]
     fn resolution_picks_an_input(
         p_target in 1u32..50,
@@ -216,29 +114,13 @@ proptest! {
         current in 1u32..50,
         trusted in any::<bool>(),
     ) {
-        let mut store = DecisionStore::new();
-        store.add_proactive(&[ScalingDecision {
-            service: 0,
-            target: p_target,
-            start: 0.0,
-            end: 60.0,
-            origin: DecisionOrigin::Proactive { generation: 1, trusted },
-        }]);
-        let reactive = ScalingDecision {
-            service: 0,
-            target: r_target,
-            start: 0.0,
-            end: 60.0,
-            origin: DecisionOrigin::Reactive,
-        };
-        let candidate = store.candidates_at(30.0, 1)[0];
-        let chosen = DecisionStore::resolve(candidate, current, Some(reactive)).unwrap();
-        prop_assert!(chosen.target == p_target || chosen.target == r_target);
+        let (chosen, winner) = resolve_scope(Some((p_target, trusted)), current, Some(r_target));
+        prop_assert!(chosen == p_target || chosen == r_target);
         // Trusted + wants-to-scale must pick proactive; otherwise reactive.
         if trusted && p_target != current {
-            prop_assert_eq!(chosen.target, p_target);
+            prop_assert_eq!((chosen, winner), (p_target, Winner::Proactive));
         } else {
-            prop_assert_eq!(chosen.target, r_target);
+            prop_assert_eq!((chosen, winner), (r_target, Winner::Reactive));
         }
     }
 

@@ -34,11 +34,6 @@ impl RobustnessReport {
     pub fn slo_delta(&self) -> f64 {
         self.faulted_slo_violations - self.clean_slo_violations
     }
-
-    /// Instance-hours difference, faulted minus clean.
-    pub fn instance_hour_delta(&self) -> f64 {
-        self.faulted_instance_hours - self.clean_instance_hours
-    }
 }
 
 /// Renders a robustness table: one row per scaler, columns for the clean
@@ -87,7 +82,6 @@ mod tests {
     fn deltas_are_faulted_minus_clean() {
         let r = report();
         assert!((r.slo_delta() - 3.5).abs() < 1e-12);
-        assert!((r.instance_hour_delta() - 1.0).abs() < 1e-12);
     }
 
     #[test]

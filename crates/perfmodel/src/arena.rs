@@ -132,12 +132,6 @@ impl ModelArena {
         &self.topo
     }
 
-    /// Total number of call edges.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.edge_targets.len()
-    }
-
     /// The outgoing calls of `node` as `(callee, multiplicity)` pairs, in
     /// the same per-caller order as
     /// [`InvocationGraph::calls_from`](crate::InvocationGraph::calls_from).
@@ -221,7 +215,6 @@ mod tests {
             let flat: Vec<(usize, f64)> = arena.calls_from(node).collect();
             assert_eq!(flat.as_slice(), model.graph().calls_from(node));
         }
-        assert_eq!(arena.edge_count(), 2);
     }
 
     #[test]

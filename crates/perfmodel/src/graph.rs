@@ -140,19 +140,6 @@ impl InvocationGraph {
         self.edges.get(service).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The incoming calls of a service as `(caller, multiplicity)` pairs.
-    pub fn calls_into(&self, service: usize) -> Vec<(usize, f64)> {
-        let mut result = Vec::new();
-        for (from, outs) in self.edges.iter().enumerate() {
-            for &(to, m) in outs {
-                if to == service {
-                    result.push((from, m));
-                }
-            }
-        }
-        result
-    }
-
     /// The **canonical** topological order of the services, or `None` if
     /// the graph has a cycle.
     ///
@@ -226,7 +213,6 @@ mod tests {
         assert_eq!(g.calls_from(0), &[(1, 1.0)]);
         assert_eq!(g.calls_from(1), &[(2, 1.0)]);
         assert!(g.calls_from(2).is_empty());
-        assert_eq!(g.calls_into(1), vec![(0, 1.0)]);
     }
 
     #[test]

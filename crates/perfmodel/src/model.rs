@@ -112,11 +112,6 @@ impl ApplicationModel {
         &self.services[index]
     }
 
-    /// Index of the service with the given name.
-    pub fn service_index(&self, name: &str) -> Option<usize> {
-        self.services.iter().position(|s| s.name() == name)
-    }
-
     /// The invocation graph.
     pub fn graph(&self) -> &InvocationGraph {
         &self.graph
@@ -156,8 +151,7 @@ mod tests {
         assert_eq!(m.service_count(), 3);
         assert_eq!(m.entry(), 0);
         assert_eq!(m.service(0).name(), "ui");
-        assert_eq!(m.service_index("validation"), Some(1));
-        assert_eq!(m.service_index("nope"), None);
+        assert_eq!(m.service(1).name(), "validation");
         assert_eq!(m.visit_ratios(), vec![1.0, 1.0, 1.0]);
     }
 

@@ -90,11 +90,6 @@ impl ServiceSpec {
         self.initial_instances
     }
 
-    /// Clamps an instance count into `[min_instances, max_instances]`.
-    pub fn clamp_instances(&self, n: u32) -> u32 {
-        n.clamp(self.min_instances, self.max_instances)
-    }
-
     /// Saturation throughput of `n` instances at the nominal demand, in
     /// requests per second.
     pub fn capacity(&self, n: u32) -> f64 {
@@ -125,14 +120,6 @@ mod tests {
         assert!(ServiceSpec::new("s", 0.1, 5, 4, 5).is_err());
         assert!(ServiceSpec::new("s", 0.1, 2, 10, 1).is_err());
         assert!(ServiceSpec::new("s", 0.1, 2, 10, 11).is_err());
-    }
-
-    #[test]
-    fn clamp_respects_bounds() {
-        let s = ServiceSpec::new("s", 0.1, 2, 10, 2).unwrap();
-        assert_eq!(s.clamp_instances(0), 2);
-        assert_eq!(s.clamp_instances(5), 5);
-        assert_eq!(s.clamp_instances(99), 10);
     }
 
     #[test]

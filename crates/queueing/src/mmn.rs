@@ -159,16 +159,6 @@ impl MmnQueue {
         Ok(self.arrival_rate * self.mean_waiting_time()?)
     }
 
-    /// Mean number of requests in the station (queued + in service),
-    /// `L = λ·E[R]` (Little's law).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueingError::Unstable`] if `ρ ≥ 1`.
-    pub fn mean_number_in_system(&self) -> Result<f64, QueueingError> {
-        Ok(self.arrival_rate * self.mean_response_time()?)
-    }
-
     /// Approximate `p`-quantile of the waiting time: from
     /// `P(W > t) = C(n,a)·e^{−(nμ−λ)t}`, the quantile is
     /// `ln(C/(1−p)) / (nμ−λ)`, clamped at 0 when `C ≤ 1−p` (most requests
@@ -204,33 +194,6 @@ impl MmnQueue {
     pub fn response_time_quantile(&self, p: f64) -> Result<f64, QueueingError> {
         Ok(self.waiting_time_quantile(p)? + self.service_demand)
     }
-
-    /// The largest arrival rate this station can serve while staying stable,
-    /// `n·μ` (exclusive bound).
-    ///
-    /// This is the `maxInstances`-style saturation throughput the paper uses
-    /// when capping the rate forwarded to downstream services.
-    pub fn saturation_throughput(&self) -> f64 {
-        f64::from(self.servers) * self.service_rate()
-    }
-
-    /// Returns a copy of this station with a different number of servers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueingError::OutOfRange`] for zero servers.
-    pub fn with_servers(&self, servers: u32) -> Result<Self, QueueingError> {
-        MmnQueue::new(self.arrival_rate, self.service_demand, servers)
-    }
-
-    /// Returns a copy of this station with a different arrival rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueueingError::NonPositive`] for a negative/NaN rate.
-    pub fn with_arrival_rate(&self, arrival_rate: f64) -> Result<Self, QueueingError> {
-        MmnQueue::new(arrival_rate, self.service_demand, self.servers)
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +227,8 @@ mod tests {
     #[test]
     fn littles_law_consistency() {
         let station = q(42.0, 0.059, 4);
-        let l = station.mean_number_in_system().unwrap();
+        // L = λ·E[R].
+        let l = station.arrival_rate() * station.mean_response_time().unwrap();
         let lq = station.mean_queue_length().unwrap();
         // L = L_q + a (expected number in service equals the offered load).
         assert!((l - (lq + station.offered_load())).abs() < 1e-9);
@@ -308,17 +272,11 @@ mod tests {
     }
 
     #[test]
-    fn saturation_throughput_is_n_mu() {
-        let station = q(10.0, 0.04, 3);
-        assert!((station.saturation_throughput() - 75.0).abs() < EPS);
-    }
-
-    #[test]
     fn paper_service_capacities() {
         // §IV-B: UI handles ~17 req/s/instance, validation 10, data 25.
-        assert!((q(1.0, 0.059, 1).saturation_throughput() - 16.949).abs() < 1e-2);
-        assert!((q(1.0, 0.1, 1).saturation_throughput() - 10.0).abs() < EPS);
-        assert!((q(1.0, 0.04, 1).saturation_throughput() - 25.0).abs() < EPS);
+        assert!((q(1.0, 0.059, 1).service_rate() - 16.949).abs() < 1e-2);
+        assert!((q(1.0, 0.1, 1).service_rate() - 10.0).abs() < EPS);
+        assert!((q(1.0, 0.04, 1).service_rate() - 25.0).abs() < EPS);
     }
 
     #[test]
@@ -370,16 +328,5 @@ mod tests {
         assert!(MmnQueue::new(1.0, 0.1, 0).is_err());
         assert!(MmnQueue::new(f64::NAN, 0.1, 1).is_err());
         assert!(MmnQueue::new(1.0, f64::NAN, 1).is_err());
-    }
-
-    #[test]
-    fn with_servers_and_rate_update_fields() {
-        let station = q(10.0, 0.1, 2);
-        let more = station.with_servers(4).unwrap();
-        assert_eq!(more.servers(), 4);
-        assert_eq!(more.arrival_rate(), 10.0);
-        let hotter = station.with_arrival_rate(20.0).unwrap();
-        assert_eq!(hotter.arrival_rate(), 20.0);
-        assert_eq!(hotter.servers(), 2);
     }
 }

@@ -406,12 +406,6 @@ impl Simulation {
         self.stations[service].regime == Regime::Fluid
     }
 
-    /// Whether every path station is fluid and the engine is integrating
-    /// aggregate flows (no request entities at all).
-    pub fn is_aggregate(&self) -> bool {
-        self.aggregate
-    }
-
     /// Discrete items processed so far: external arrivals plus fired
     /// events (the benchmark reports it as `sim.hybrid_events`).
     pub fn events_processed(&self) -> u64 {
@@ -2179,7 +2173,7 @@ mod tests {
         // and the engine goes aggregate immediately.
         let cfg = config(3).with_hybrid(HybridConfig::new(1.0, 0.5, 64));
         let sim = well_provisioned(300.0, 600.0, cfg);
-        assert!(sim.is_aggregate());
+        assert!(sim.aggregate);
         assert!(sim.is_fluid(0) && sim.is_fluid(1) && sim.is_fluid(2));
         let events_bound = sim.events_processed();
         let result = sim.run_to_end();
@@ -2208,9 +2202,9 @@ mod tests {
         sim.set_supply(0, 12).unwrap();
         sim.set_supply(1, 20).unwrap();
         sim.set_supply(2, 8).unwrap();
-        assert!(sim.is_aggregate());
+        assert!(sim.aggregate);
         sim.run_until(trace.duration()).unwrap();
-        assert!(!sim.is_aggregate(), "low tail must leave the fluid regime");
+        assert!(!sim.aggregate, "low tail must leave the fluid regime");
         assert!(!sim.is_fluid(0) && !sim.is_fluid(1) && !sim.is_fluid(2));
         assert!(sim.regime_switches() >= 8, "{}", sim.regime_switches());
         let result = sim.finish();
@@ -2222,7 +2216,7 @@ mod tests {
     fn scaling_applies_while_fluid() {
         let cfg = config(5).with_hybrid(HybridConfig::new(1.0, 0.5, 32));
         let mut sim = well_provisioned(200.0, 600.0, cfg);
-        assert!(sim.is_aggregate());
+        assert!(sim.aggregate);
         sim.scale_to(0, 40).unwrap();
         assert_eq!(sim.provisioned(0), 40);
         sim.run_until(60.0).unwrap();

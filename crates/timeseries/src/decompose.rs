@@ -26,32 +26,6 @@ pub struct Decomposition {
     pub remainder: Vec<f64>,
 }
 
-impl Decomposition {
-    /// The seasonal value at a *future* index `len + h` (h ≥ 0), continuing
-    /// the periodic pattern.
-    pub fn seasonal_at(&self, index: usize) -> f64 {
-        if self.seasonal.is_empty() || self.period == 0 {
-            return 0.0;
-        }
-        // Use the last full season as the pattern to continue.
-        let n = self.seasonal.len();
-        let pattern_start = n - self.period.min(n);
-        let offset = (index + self.period - (pattern_start % self.period)) % self.period;
-        self.seasonal[pattern_start + offset.min(n - pattern_start - 1)]
-    }
-
-    /// Reconstructs the original series values (`trend + seasonal +
-    /// remainder`).
-    pub fn reconstruct(&self) -> Vec<f64> {
-        self.trend
-            .iter()
-            .zip(&self.seasonal)
-            .zip(&self.remainder)
-            .map(|((t, s), r)| t + s + r)
-            .collect()
-    }
-}
-
 /// Decomposes a series additively along the given season length.
 ///
 /// # Errors
@@ -205,10 +179,10 @@ mod tests {
             let planted = 100.0 + 0.25 * t as f64;
             assert!((d.trend[t] - planted).abs() < 1.0, "t={t}");
         }
-        // Exact reconstruction.
-        let rec = d.reconstruct();
-        for (a, b) in rec.iter().zip(&values) {
-            assert!((a - b).abs() < 1e-9);
+        // Exact reconstruction: trend + seasonal + remainder.
+        for (t, &value) in values.iter().enumerate() {
+            let sum = d.trend[t] + d.seasonal[t] + d.remainder[t];
+            assert!((sum - value).abs() < 1e-9);
         }
     }
 
@@ -257,15 +231,5 @@ mod tests {
                 d.trend[t]
             );
         }
-    }
-
-    #[test]
-    fn seasonal_at_continues_pattern() {
-        let values: Vec<f64> = (0..40).map(|t| [2.0, -2.0][t % 2] + 10.0).collect();
-        let d = decompose_additive(&ts(values), 2).unwrap();
-        // Future indices continue alternating.
-        assert!((d.seasonal_at(40) - d.seasonal[38]).abs() < 1e-9);
-        assert!((d.seasonal_at(41) - d.seasonal[39]).abs() < 1e-9);
-        assert!((d.seasonal_at(42) - d.seasonal[38]).abs() < 1e-9);
     }
 }

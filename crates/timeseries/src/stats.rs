@@ -17,11 +17,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Sample autocorrelation at the given lag, using the standard biased
 /// estimator `r(k) = Σ (y_t − ȳ)(y_{t+k} − ȳ) / Σ (y_t − ȳ)²`.
 ///
@@ -169,7 +164,6 @@ mod tests {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < EPS);
         assert_eq!(variance(&[5.0]), 0.0);
         assert!((variance(&[1.0, 3.0]) - 1.0).abs() < EPS);
-        assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < EPS);
     }
 
     #[test]
