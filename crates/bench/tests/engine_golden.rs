@@ -13,8 +13,9 @@
 //! * a checkpoint-recovered run under controller crashes,
 //! * the multi-tenant smoke scenario under each arbitration policy,
 //! * the simulator-only paths: the nested VM pool driven by a reactive
-//!   controller with and without the pool planner, vertical scaling, and
-//!   the pure and hybrid des-scale mini cases.
+//!   controller with and without the pool planner, vertical scaling, the
+//!   pure and hybrid des-scale mini cases, and an hour of the
+//!   production-scale hybrid day.
 
 #![allow(
     clippy::unwrap_used,
@@ -25,6 +26,7 @@
 )]
 
 use chamulteon::{ArbitrationPolicy, Chamulteon, ChamulteonConfig, NestedPlanner, RetryPolicy};
+use chamulteon_bench::des_scale::headline_case;
 use chamulteon_bench::robustness::FaultClass;
 use chamulteon_bench::setups::{bibsonomy_large, bibsonomy_small, smoke_test, wikipedia_vm};
 use chamulteon_bench::{
@@ -269,5 +271,21 @@ fn des_scale_mini_cases_reproduce_their_digests() {
         got,
         [0x43ff_4ad2_1ef7_c3fc, 0x4ef6_13fa_d6a7_3d33],
         "des-scale digests changed: {got:#018x?}"
+    );
+}
+
+#[test]
+fn des_scale_production_case_reproduces_its_digest() {
+    // The headline day compressed to one hour: 60 monitoring ticks and
+    // 180 fluid law builds at up to 142,858 instances, so the sojourn
+    // laws at production scale are pinned, not only the mini case's.
+    let case = DesScaleCase {
+        duration: 3600.0,
+        ..headline_case(7)
+    };
+    let got = digest_debug(&run_des_scale_case(&case));
+    assert_eq!(
+        got, 0xc1f1_3132_574b_e514,
+        "des-scale production digest changed: {got:#018x}"
     );
 }
