@@ -92,9 +92,11 @@ fn day_trace(seed: u64, peak: f64, duration: f64) -> LoadTrace {
 }
 
 /// The headline case: the full 86 400 s day at 1M req/s peak, hybrid,
-/// with the default switch threshold (32 Erlangs). At this load every
-/// station's offered load is hundreds of Erlangs, so the switch engages
-/// on the first monitoring tick and the run stays aggregate.
+/// with the default switch threshold (32 Erlangs). Even the day's trough
+/// offers every station thousands of Erlangs, and `Simulation::new`
+/// evaluates the regimes at t = 0, so the run is aggregate from the
+/// start: its only events are the 1,440 monitoring ticks, and no request
+/// is ever an entity.
 pub fn headline_case(seed: u64) -> DesScaleCase {
     DesScaleCase {
         label: "1M-day".to_owned(),
@@ -166,10 +168,11 @@ mod tests {
         assert!(m.events > m.sent, "each request needs several events");
         assert_eq!(m.regime_switches, 0);
 
-        // A 60 s compressed day starts at the diurnal trough, below the
-        // default 32-Erlang threshold — arm a 1-Erlang threshold so the
-        // switch engages at t = 0 regardless of diurnal phase (the real
-        // headline day runs long enough to cross the default threshold).
+        // At 500 req/s peak the stations offer at most ~50 Erlangs, and
+        // less at the diurnal trough the compressed day starts in — arm a
+        // 1-Erlang threshold so the switch engages at t = 0 regardless of
+        // diurnal phase (the headline day at 1M req/s already offers
+        // thousands of Erlangs at t = 0).
         let hybrid = DesScaleCase {
             hybrid: Some(HybridConfig::new(1.0, 0.5, 64)),
             ..case

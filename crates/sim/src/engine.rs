@@ -188,9 +188,10 @@ pub struct Simulation {
     /// station fluid does not perturb the discrete service-time draws.
     tail_rng: StdRng,
     /// One-entry memo per service for the fluid sojourn law, keyed by
-    /// [`LawKey`]. Rebuilding the law runs an O(servers) Erlang-C
-    /// recurrence (~10⁵ steps at production scale), which must happen
-    /// per segment/supply change, not per sample.
+    /// [`LawKey`]. Rebuilding a law whose wait is not certified
+    /// negligible runs an O(servers) Erlang-C recurrence (~10⁵ steps at
+    /// production scale), which must happen per segment/supply change,
+    /// not per sample.
     law_cache: Vec<Option<(LawKey, fluid::SojournLaw)>>,
     // Accounting.
     total_sent: u64,
@@ -1174,9 +1175,10 @@ impl Simulation {
     }
 
     /// The fluid sojourn law of `service` at arrival rate `lam` with `n`
-    /// running instances at `speed`, memoized per service — the Erlang-C
-    /// recurrence behind it is O(n) and must not run per sample. Callers
-    /// guarantee `true_demands[service] > 0`.
+    /// running instances at `speed`, memoized per service — a law whose
+    /// wait is not certified negligible runs an O(n) Erlang-C recurrence,
+    /// which must not run per sample. Callers guarantee
+    /// `true_demands[service] > 0`.
     fn station_law(&mut self, service: usize, lam: f64, n: u32, speed: f64) -> fluid::SojournLaw {
         let key = (lam.to_bits(), n, speed.to_bits());
         if let Some((cached, law)) = self.law_cache[service] {

@@ -20,7 +20,9 @@
 //! analytic stationary law: with probability Erlang-C(n, a) the request
 //! waits an `Exp(nμ − λ)` time, otherwise zero, plus an `Exp(μ)` service
 //! time. Above saturation, where no stationary law exists, the wait is
-//! the deterministic backlog drain time `(x − n)/(n·μ)`.
+//! the deterministic backlog drain time `(x − n)/(n·μ)`. Where a short
+//! bound certifies that Erlang-C lies below the sampler's draw grid, the
+//! law skips the O(n) recurrence (see [`SojournLaw`]).
 
 use chamulteon_queueing::erlang::erlang_c;
 use rand::rngs::StdRng;
@@ -130,16 +132,40 @@ pub(crate) fn advance(x0: f64, lambda: f64, servers: u32, mu: f64, dt: f64) -> F
     }
 }
 
+/// Spacing of the grid `rng.gen::<f64>()` draws from: every uniform draw
+/// is a multiple of 2⁻⁵³ in `[0, 1)`.
+const DRAW_GRID: f64 = f64::EPSILON / 2.0;
+
+/// Erlang-B bound that certifies a negligible wait: 2⁻⁶³. Under the
+/// stable-region guard `a < 0.999·n`, `C = n·B/(n − a(1 − B)) <
+/// n·B/(0.001·n) = 1000·B < 1024·B`, so `B < 2⁻⁶³` gives `C < 2⁻⁵³`.
+const NEGLIGIBLE_BLOCKING: f64 = DRAW_GRID / 1024.0;
+
 /// The precomputed stationary law of a fluid M/M/n station: everything
 /// about the sojourn distribution that does not depend on the RNG or the
-/// instantaneous mass. Building one costs an Erlang-C evaluation — an
-/// O(servers) recurrence, ~10⁵ steps at production scale — so callers
-/// that synthesize many sojourns under the same `(λ, n, μ)` build the
-/// law once and [`sample`](SojournLaw::sample) from it; sampling is O(1).
+/// instantaneous mass. Callers that synthesize many sojourns under the
+/// same `(λ, n, μ)` build the law once and
+/// [`sample`](SojournLaw::sample) from it; sampling is O(1).
+///
+/// Building a stable law first tries to certify that the Erlang-C
+/// waiting probability `c` is below [`DRAW_GRID`] (2⁻⁵³). It reruns the
+/// Erlang-B step `b ← a·b/(k + a·b)` from `b = 1` at `k = ⌈a⌉`. The step
+/// increases with `b`, so this `b` bounds `B(k, a)` from above for every
+/// `k ≥ ⌈a⌉`; and past `a` each step shrinks it. Once it falls below
+/// 2⁻⁶³ ([`NEGLIGIBLE_BLOCKING`]), the guard `a < 0.999·n` bounds
+/// `c < 1000·B(n, a) < 2⁻⁵³`. That takes O(√a) steps (about 3,000 at
+/// `a = 10⁵`) and never reaches a subnormal float. A certified law is
+/// [`NegligibleWait`](SojournLaw::NegligibleWait): since every uniform
+/// draw is a multiple of 2⁻⁵³, only the draw `u = 0` can fall below `c`,
+/// and on that draw alone the law evaluates the exact Erlang-C. A law
+/// that is not certified (a load within about 10·√a of n) still runs the
+/// O(n) Erlang-C recurrence, which is why the engine memoizes laws.
 ///
 /// Each variant burns exactly the draws the corresponding branch of the
 /// original inline sampler burned, so the synthesis RNG stream stays
-/// bit-identical regardless of which branch a sample takes.
+/// bit-identical regardless of which branch a sample takes, and a
+/// `NegligibleWait` law samples exactly the stream of the `Stationary`
+/// law with the exact `c`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum SojournLaw {
     /// Per-server rate was non-finite or non-positive: no draws, the
@@ -157,6 +183,18 @@ pub(crate) enum SojournLaw {
         /// Conditional-wait drain rate `n·μ − λ`.
         drain: f64,
     },
+    /// Stable stationary law whose Erlang-C probability is certified below
+    /// 2⁻⁵³: samples as `Stationary`, evaluating `c` only on a zero draw.
+    NegligibleWait {
+        /// Per-server service rate μ.
+        mu: f64,
+        /// Conditional-wait drain rate `n·μ − λ`.
+        drain: f64,
+        /// Server count n.
+        servers: u32,
+        /// Offered load `a = λ/μ`, in Erlangs.
+        a: f64,
+    },
     /// Saturated (or Erlang-C rejected the inputs): the wait is the
     /// deterministic backlog drain time `(x − n)/(n·μ)`.
     Saturated {
@@ -169,7 +207,8 @@ pub(crate) enum SojournLaw {
 
 impl SojournLaw {
     /// Builds the law for arrival rate `lambda`, `servers` servers and
-    /// per-server rate `mu`. This is the expensive step (Erlang-C).
+    /// per-server rate `mu`. This is the expensive step: O(√a) when the
+    /// wait is certified negligible, else an O(n) Erlang-C recurrence.
     pub(crate) fn new(lambda: f64, servers: u32, mu: f64) -> Self {
         if !(mu > 0.0) || !mu.is_finite() {
             return SojournLaw::Starved;
@@ -182,15 +221,37 @@ impl SojournLaw {
         let a = lambda / mu;
         // Stable region with a small guard band: use the stationary law.
         if a < n * 0.999 {
-            if let Ok(c) = erlang_c(servers, a) {
-                return SojournLaw::Stationary {
+            let drain = n * mu - lambda;
+            if wait_is_negligible(n, a) {
+                return SojournLaw::NegligibleWait {
                     mu,
-                    c,
-                    drain: n * mu - lambda,
+                    drain,
+                    servers,
+                    a,
                 };
+            }
+            if let Ok(c) = erlang_c(servers, a) {
+                return SojournLaw::Stationary { mu, c, drain };
             }
         }
         SojournLaw::Saturated { mu, n }
+    }
+
+    /// Whether a request whose uniform wait draw is `u` waits: `u < c`.
+    /// A `NegligibleWait` law knows `c < 2⁻⁵³`, so it answers `false` for
+    /// every `u` at or above 2⁻⁵³ without evaluating `c`; on the draw grid
+    /// that leaves only `u = 0`. Laws without a stationary wait never
+    /// wait.
+    fn waits(&self, u: f64) -> bool {
+        match *self {
+            SojournLaw::Stationary { c, .. } => u < c,
+            // `new` builds this variant only for a stable `a < n`, where
+            // Erlang-C cannot fail.
+            SojournLaw::NegligibleWait { servers, a, .. } => {
+                u < DRAW_GRID && erlang_c(servers, a).is_ok_and(|c| u < c)
+            }
+            SojournLaw::Starved | SojournLaw::NoServers | SojournLaw::Saturated { .. } => false,
+        }
     }
 
     /// Draws one analytic sojourn (wait + service); `x` is the current
@@ -205,10 +266,11 @@ impl SojournLaw {
                 let _: f64 = rng.gen();
                 STARVED_WAIT
             }
-            SojournLaw::Stationary { mu, c, drain } => {
+            SojournLaw::Stationary { mu, drain, .. }
+            | SojournLaw::NegligibleWait { mu, drain, .. } => {
                 let service = exp_draw(rng, 1.0 / mu);
                 let u: f64 = rng.gen();
-                let wait = if u < c {
+                let wait = if self.waits(u) {
                     exp_draw(rng, 1.0 / drain)
                 } else {
                     // Burn the draw the waiting branch would have used.
@@ -226,6 +288,22 @@ impl SojournLaw {
             }
         }
     }
+}
+
+/// Whether Erlang-C(n, a) is certified below 2⁻⁵³ for a stable load
+/// `a < 0.999·n`, by the Erlang-B bound [`SojournLaw`] describes; stops
+/// at `k = n` without a certificate.
+fn wait_is_negligible(n: f64, a: f64) -> bool {
+    let mut b = 1.0_f64;
+    let mut k = a.ceil().max(1.0);
+    while k <= n {
+        b = a * b / (k + a * b);
+        if b < NEGLIGIBLE_BLOCKING {
+            return true;
+        }
+        k += 1.0;
+    }
+    false
 }
 
 /// Draws one analytic sojourn (wait + service) at a fluid M/M/n station
@@ -377,6 +455,92 @@ mod tests {
         // Zero capacity reports the starved sentinel.
         let s = sample_sojourn(10.0, 0, 2.0, 5.0, &mut rng);
         assert!(s >= STARVED_WAIT);
+    }
+
+    #[test]
+    fn certified_waits_are_below_the_draw_grid() {
+        // n ≤ 2×10⁵, spread over octaves so that small stations count too,
+        // and a/n ∈ [0, 0.999).
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut positive, mut zero, mut uncertified) = (0, 0, 0);
+        for _ in 0..2_000 {
+            let octave = 1u32 << rng.gen_range(0..18);
+            let n = (octave + rng.gen_range(0..octave)).min(200_000);
+            let a = f64::from(n) * rng.gen_range(0.0..0.999);
+            if !wait_is_negligible(f64::from(n), a) {
+                uncertified += 1;
+                continue;
+            }
+            let c = erlang_c(n, a).unwrap();
+            assert!(c < DRAW_GRID, "n={n} a={a}: certified but c = {c:e}");
+            if c > 0.0 {
+                positive += 1;
+            } else {
+                zero += 1;
+            }
+        }
+        // The grid reaches every outcome: no certificate, and certified
+        // waits that end on a positive c and on c = 0.
+        assert!(
+            positive > 100 && zero > 100 && uncertified > 100,
+            "{positive} positive, {zero} zero, {uncertified} uncertified"
+        );
+    }
+
+    #[test]
+    fn a_zero_draw_waits_exactly_when_erlang_c_is_positive() {
+        // Production-scale stations whose certified wait ends on a
+        // positive subnormal c and on c = 0: the zero draw must follow
+        // the exact value either way.
+        for (a, positive) in [(100_000.0, true), (30_000.0, false)] {
+            let n = 142_858;
+            let law = SojournLaw::new(a, n, 1.0);
+            let certified = SojournLaw::NegligibleWait {
+                mu: 1.0,
+                drain: f64::from(n) - a,
+                servers: n,
+                a,
+            };
+            assert_eq!(law, certified);
+            let c = erlang_c(n, a).unwrap();
+            assert_eq!(c > 0.0, positive, "a={a}: c = {c:e}");
+            assert_eq!(law.waits(0.0), 0.0 < c, "a={a}");
+            assert!(!law.waits(DRAW_GRID), "a={a}");
+        }
+    }
+
+    #[test]
+    fn a_certified_law_samples_the_exact_stationary_stream() {
+        let mut cases = StdRng::seed_from_u64(5);
+        let mut certified = 0;
+        for i in 0..24 {
+            // Every fourth station at production scale.
+            let n: u32 = if i % 4 == 0 {
+                cases.gen_range(100_000..=142_858)
+            } else {
+                cases.gen_range(1..5_000)
+            };
+            let mu = cases.gen_range(1.0..30.0);
+            let lambda = f64::from(n) * mu * cases.gen_range(0.0..0.999);
+            let x = cases.gen_range(0.0..f64::from(n));
+            let law = SojournLaw::new(lambda, n, mu);
+            if !matches!(law, SojournLaw::NegligibleWait { .. }) {
+                continue;
+            }
+            certified += 1;
+            let exact = SojournLaw::Stationary {
+                mu,
+                c: erlang_c(n, lambda / mu).unwrap(),
+                drain: f64::from(n) * mu - lambda,
+            };
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(i), StdRng::seed_from_u64(i));
+            for _ in 0..2_000 {
+                let (s1, s2) = (law.sample(x, &mut r1), exact.sample(x, &mut r2));
+                assert_eq!(s1.to_bits(), s2.to_bits(), "n={n} λ={lambda} μ={mu}");
+            }
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "streams drifted apart");
+        }
+        assert!(certified >= 8, "only {certified} certified cases");
     }
 
     #[test]
