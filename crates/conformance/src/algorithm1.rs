@@ -50,11 +50,35 @@ pub fn naive_min_instances_for_utilization(
     n
 }
 
+/// The canonical topological order, re-derived by brute force: repeatedly
+/// take the smallest-index service whose callers have all been taken.
+fn smallest_index_ready_order(model: &ApplicationModel) -> Vec<usize> {
+    let n = model.service_count();
+    let graph = model.graph();
+    // Calls still to come from callers not yet taken, per callee.
+    let mut pending = vec![0usize; n];
+    for from in 0..n {
+        for &(to, _) in graph.calls_from(from) {
+            pending[to] += 1;
+        }
+    }
+    let mut taken = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    while let Some(next) = (0..n).find(|&s| !taken[s] && pending[s] == 0) {
+        taken[next] = true;
+        order.push(next);
+        for &(to, _) in graph.calls_from(next) {
+            pending[to] -= 1;
+        }
+    }
+    order
+}
+
 /// Naive re-derivation of the full Algorithm 1 pass
 /// ([`proactive_decisions`]) for one point in time: walk the services in
-/// index order (the generated topologies are index-topological by
-/// construction), apply the band check and the naive sizing loop, clamp
-/// into the model bounds, and forward the capacity-throttled rate.
+/// the brute-force canonical order, apply the band check and the naive
+/// sizing loop, clamp into the model bounds, and forward the
+/// capacity-throttled rate.
 pub fn oracle_decisions(
     model: &ApplicationModel,
     forecast_entry_rate: f64,
@@ -85,7 +109,7 @@ pub fn oracle_decisions(
     if let Some(slot) = offered.get_mut(model.entry()) {
         *slot = forecast_entry_rate.max(0.0);
     }
-    for node in 0..n {
+    for node in smallest_index_ready_order(model) {
         let spec = model.service(node);
         let rate = offered[node].max(0.0);
         let demand = demands[node].max(0.0);
@@ -115,15 +139,16 @@ struct Case {
 }
 
 /// Draws one case. Half the grid uses the original ad-hoc shape (a 1–5
-/// service chain spine plus random skip edges); the other half draws one
-/// of the perfmodel [`TopologyFamily`] generators (chain, fan, diamond,
-/// scale-free) at 2–8 services, so every structural family the
-/// 1000-service benchmark workload uses is oracle-covered. Both kinds are
-/// index-topological by construction, which is what lets
-/// [`oracle_decisions`] walk plain index order. The rest of the case is random demands/bounds/current counts, a
-/// valid `ρ_lower < ρ_target < ρ_upper` band, and an entry rate that every
-/// few cases is crafted to land `λ·D/ρ_target` exactly on an integer — the
-/// float boundary where a naive search and a `ceil` most easily diverge.
+/// service chain spine plus random skip edges), declared to the builder
+/// in a seeded shuffled index order, so index order is generally not the
+/// call order; the other half draws one of the perfmodel
+/// [`TopologyFamily`] generators (chain, fan, diamond, scale-free) at 2–8
+/// services, so every structural family the 1000-service benchmark
+/// workload uses is oracle-covered. The rest of the case is random
+/// demands/bounds/current counts, a valid `ρ_lower < ρ_target < ρ_upper`
+/// band, and an entry rate that every few cases is crafted to land
+/// `λ·D/ρ_target` exactly on an integer — the float boundary where a
+/// naive search and a `ceil` most easily diverge.
 fn generate_case(rng: &mut StdRng) -> Option<Case> {
     let model = if rng.gen_bool(0.5) {
         let family = TopologyFamily::ALL[rng.gen_range(0..TopologyFamily::ALL.len())];
@@ -132,11 +157,19 @@ fn generate_case(rng: &mut StdRng) -> Option<Case> {
         chamulteon_perfmodel::topology::model(family, n, topology_seed).ok()?
     } else {
         let services = rng.gen_range(1..=5usize);
+        let mut declared: Vec<(usize, f64, u32, u32)> = (0..services)
+            .map(|i| {
+                let demand = rng.gen_range(0.01..0.4);
+                let max = rng.gen_range(50..=400u32);
+                let initial = rng.gen_range(1..=10u32);
+                (i, demand, max, initial)
+            })
+            .collect();
+        for i in (1..services).rev() {
+            declared.swap(i, rng.gen_range(0..=i));
+        }
         let mut builder = ApplicationModelBuilder::new();
-        for i in 0..services {
-            let demand = rng.gen_range(0.01..0.4);
-            let max = rng.gen_range(50..=400u32);
-            let initial = rng.gen_range(1..=10u32);
+        for (i, demand, max, initial) in declared {
             builder = builder.service(format!("s{i}"), demand, 1, max, initial);
         }
         // Chain spine keeps every service reachable; skip edges add fan-out.
@@ -170,7 +203,7 @@ fn generate_case(rng: &mut StdRng) -> Option<Case> {
         1 => {
             // Exact-boundary craft: make raw = λ·D/ρ_target an integer.
             let k = f64::from(rng.gen_range(1..=50u32));
-            k * rho_target / demands[0]
+            k * rho_target / demands[model.entry()]
         }
         _ => rng.gen_range(0.0..500.0),
     };

@@ -145,7 +145,7 @@ pub(crate) struct SizingTrace {
 /// The one implementation of Algorithm 1 behind [`proactive_decisions`]
 /// and the controller's reactive pass.
 ///
-/// Walks the invocation graph in the arena's canonical topological order,
+/// Walks the invocation graph in its stored canonical topological order,
 /// sizing each service for the rate its *already-sized* predecessors
 /// forward, then runs the backpressure epilogue. With `trace`, each
 /// service's offered rate and hold-band verdict are recorded
@@ -160,23 +160,27 @@ pub(crate) fn walk(
     config: &ChamulteonConfig,
     mut trace: Option<&mut SizingTrace>,
 ) -> Vec<u32> {
-    let arena = model.arena();
-    let n = arena.node_count();
-    let demands: Vec<f64> = (0..n)
-        .map(|i| {
+    let services = model.services();
+    let n = services.len();
+    let demands: Vec<f64> = services
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
             estimated_demands
                 .get(i)
                 .copied()
                 .filter(|d| d.is_finite() && *d > 0.0)
-                .unwrap_or_else(|| arena.nominal_demand(i))
+                .unwrap_or_else(|| spec.nominal_demand())
         })
         .collect();
-    let mut targets: Vec<u32> = (0..n)
-        .map(|i| {
+    let mut targets: Vec<u32> = services
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
             current_instances
                 .get(i)
                 .copied()
-                .unwrap_or_else(|| arena.initial_instances(i))
+                .unwrap_or_else(|| spec.initial_instances())
                 .max(1)
         })
         .collect();
@@ -185,17 +189,17 @@ pub(crate) fn walk(
         trace.sizing.resize(n, Sizing::Held);
     }
 
+    let graph = model.graph();
     let mut offered = vec![0.0; n];
-    if n > 0 {
-        offered[arena.entry()] = forecast_entry_rate.max(0.0);
-    }
-    for &node in arena.topo_order() {
+    offered[model.entry()] = forecast_entry_rate.max(0.0);
+    for &node in graph.topological_order() {
+        let spec = &services[node];
         let (target, sizing) = sized(
             offered[node],
             demands[node],
             targets[node],
-            arena.min_instances(node),
-            arena.max_instances(node),
+            spec.min_instances(),
+            spec.max_instances(),
             config,
         );
         targets[node] = target;
@@ -205,7 +209,7 @@ pub(crate) fn walk(
         // Forward at most what the newly sized deployment can complete.
         let capacity = f64::from(target) / demands[node];
         let completed = offered[node].min(capacity);
-        for (to, multiplicity) in arena.calls_from(node) {
+        for &(to, multiplicity) in graph.calls_from(node) {
             offered[to] += completed * multiplicity;
         }
     }
@@ -236,21 +240,20 @@ fn apply_backpressure(
     targets: &mut [u32],
     config: &ChamulteonConfig,
 ) {
-    let arena = model.arena();
-    let ratios = arena.visit_ratios();
+    let ratios = model.visit_ratios();
     // Achievable external rate per service: its saturated max capacity
     // translated back to external-request units.
     let mut achievable = entry_rate.max(0.0);
     let mut bottlenecked = false;
-    for i in 0..arena.node_count() {
+    for (i, spec) in model.services().iter().enumerate() {
         if ratios[i] <= 0.0 {
             continue;
         }
         let offered_local = entry_rate.max(0.0) * ratios[i];
-        let max_capacity = f64::from(arena.max_instances(i)) / demands[i];
+        let max_capacity = f64::from(spec.max_instances()) / demands[i];
         // Only a service that is *pinned at its maximum* and still short
         // exerts backpressure; anything below max can be scaled instead.
-        if targets[i] == arena.max_instances(i) && offered_local > max_capacity * config.rho_upper {
+        if targets[i] == spec.max_instances() && offered_local > max_capacity * config.rho_upper {
             achievable = achievable.min(max_capacity * config.rho_target / ratios[i]);
             bottlenecked = true;
         }
@@ -260,17 +263,17 @@ fn apply_backpressure(
     }
     // Re-size everything for the achievable rate (the bottleneck itself
     // stays at max).
-    for i in 0..arena.node_count() {
+    for (i, spec) in model.services().iter().enumerate() {
         let local = achievable * ratios[i];
         let resized = size_service(
             local,
             demands[i],
             targets[i],
-            arena.min_instances(i),
-            arena.max_instances(i),
+            spec.min_instances(),
+            spec.max_instances(),
             config,
         );
-        targets[i] = targets[i].min(resized.max(arena.min_instances(i)));
+        targets[i] = targets[i].min(resized.max(spec.min_instances()));
     }
 }
 

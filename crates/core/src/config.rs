@@ -20,25 +20,13 @@ pub struct ChamulteonConfig {
     /// Target utilization used when computing the new instance count —
     /// sits between the thresholds so fresh decisions land inside the band.
     pub rho_target: f64,
-    /// Number of future scaling intervals the proactive cycle plans for.
-    pub forecast_horizon: usize,
-    /// Minimum observations before the proactive cycle trusts any forecast
-    /// (the paper requires seasonal history; with too little history
-    /// "forecasts contain only trend and noise components", §III-D).
-    pub min_history: usize,
     /// Proactive decisions are *trustable* when the forecast's holdout MASE
     /// is at or below this threshold (§III-C1).
     pub trust_threshold: f64,
-    /// MASE drift threshold that triggers an early re-forecast (§III-A1).
-    pub drift_threshold: f64,
     /// Enable the reactive cycle (disable for the proactive-only ablation).
     pub reactive_enabled: bool,
     /// Enable the proactive cycle (disable for the reactive-only ablation).
     pub proactive_enabled: bool,
-    /// EWMA smoothing factor for the demand estimates.
-    pub demand_smoothing: f64,
-    /// Number of monitoring windows the demand estimator keeps.
-    pub demand_window: usize,
     /// Return-path awareness (the paper's second future-work item, §VI):
     /// when a *downstream* service is pinned at its maximum capacity,
     /// scale upstream services down to the rate the bottleneck can
@@ -55,14 +43,9 @@ impl Default for ChamulteonConfig {
             rho_upper: 0.75,
             rho_lower: 0.45,
             rho_target: 0.6,
-            forecast_horizon: 8,
-            min_history: 12,
             trust_threshold: 1.0,
-            drift_threshold: 1.5,
             reactive_enabled: true,
             proactive_enabled: true,
-            demand_smoothing: 0.4,
-            demand_window: 5,
             backpressure_enabled: false,
         }
     }
@@ -70,8 +53,9 @@ impl Default for ChamulteonConfig {
 
 impl ChamulteonConfig {
     /// Validates and sanitizes the configuration: thresholds are forced
-    /// into `0 < ρ_lower < ρ_target ≤ ρ_upper ≤ 1`, horizons and windows to
-    /// at least 1. Invalid fields fall back to the defaults.
+    /// into `0 < ρ_lower < ρ_target ≤ ρ_upper ≤ 1` and the trust threshold
+    /// to a positive finite value. Invalid fields fall back to the
+    /// defaults.
     pub fn sanitized(mut self) -> Self {
         let d = ChamulteonConfig::default();
         if !(self.rho_upper > 0.0 && self.rho_upper <= 1.0) {
@@ -83,23 +67,8 @@ impl ChamulteonConfig {
         if !(self.rho_target > self.rho_lower && self.rho_target <= self.rho_upper) {
             self.rho_target = (self.rho_lower + self.rho_upper) / 2.0;
         }
-        if self.forecast_horizon == 0 {
-            self.forecast_horizon = d.forecast_horizon;
-        }
-        if self.min_history < 4 {
-            self.min_history = 4;
-        }
         if !(self.trust_threshold > 0.0) || !self.trust_threshold.is_finite() {
             self.trust_threshold = d.trust_threshold;
-        }
-        if !(self.drift_threshold > 0.0) || !self.drift_threshold.is_finite() {
-            self.drift_threshold = d.drift_threshold;
-        }
-        if !(self.demand_smoothing > 0.0 && self.demand_smoothing <= 1.0) {
-            self.demand_smoothing = d.demand_smoothing;
-        }
-        if self.demand_window == 0 {
-            self.demand_window = d.demand_window;
         }
         self
     }
@@ -158,22 +127,12 @@ mod tests {
     fn sanitize_fixes_degenerate_numbers() {
         let c = ChamulteonConfig {
             rho_upper: f64::NAN,
-            forecast_horizon: 0,
-            min_history: 0,
             trust_threshold: -1.0,
-            drift_threshold: f64::INFINITY,
-            demand_smoothing: 0.0,
-            demand_window: 0,
             ..ChamulteonConfig::default()
         }
         .sanitized();
         assert_eq!(c.rho_upper, 0.75);
-        assert!(c.forecast_horizon >= 1);
-        assert!(c.min_history >= 4);
         assert!(c.trust_threshold > 0.0);
-        assert!(c.drift_threshold.is_finite());
-        assert!(c.demand_smoothing > 0.0);
-        assert!(c.demand_window >= 1);
     }
 
     #[test]

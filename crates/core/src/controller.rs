@@ -115,6 +115,13 @@ pub struct Chamulteon {
     ticks: u64,
 }
 
+/// Monitoring windows each service's demand estimator keeps.
+const DEMAND_WINDOW: usize = 5;
+/// EWMA smoothing factor of the demand estimates.
+const DEMAND_SMOOTHING: f64 = 0.4;
+/// MASE drift ratio that triggers an early re-forecast (§III-A1).
+const DRIFT_THRESHOLD: f64 = 1.5;
+
 impl Chamulteon {
     /// Creates a controller for `model`.
     pub fn new(model: ApplicationModel, config: ChamulteonConfig) -> Self {
@@ -123,15 +130,11 @@ impl Chamulteon {
             .services()
             .iter()
             .map(|s| {
-                RollingDemandEstimator::new(
-                    config.demand_window,
-                    config.demand_smoothing,
-                    s.nominal_demand(),
-                )
+                RollingDemandEstimator::new(DEMAND_WINDOW, DEMAND_SMOOTHING, s.nominal_demand())
             })
             .collect();
         Chamulteon {
-            drift: DriftDetector::new(config.drift_threshold),
+            drift: DriftDetector::new(DRIFT_THRESHOLD),
             demand_estimators,
             entry_history: None,
             forecaster: TelescopeForecaster::default(),
@@ -299,9 +302,10 @@ impl Chamulteon {
     ///
     /// [`SnapshotError::Inconsistent`] when the snapshot's service count
     /// disagrees with `model`, an estimator window capacity differs from
-    /// `config.demand_window`, its entry history fails validation, or its
-    /// active forecast is one [`snapshot`](Chamulteon::snapshot) never
-    /// writes: without an entry history, made past its end, of another
+    /// the controller's demand window of 5 samples, its entry history
+    /// fails validation, or its active forecast is one
+    /// [`snapshot`](Chamulteon::snapshot) never writes: without an entry
+    /// history, made past its end, of another
     /// generation than the snapshot's, with a value that is not a finite,
     /// non-negative rate, or with a plan that is not one row of every
     /// service's target per value.
@@ -367,13 +371,16 @@ impl Chamulteon {
         };
 
         let mut controller = Chamulteon::new(model, config);
-        // `new` sizes every window from the (sanitized) config; a snapshot
-        // declaring any other capacity was not taken under this config.
-        let window = controller.config.demand_window.max(1);
-        if let Some(e) = snapshot.estimators.iter().find(|e| e.capacity != window) {
+        // `new` sizes every window to `DEMAND_WINDOW`; a snapshot declaring
+        // any other capacity was not taken by this controller.
+        if let Some(e) = snapshot
+            .estimators
+            .iter()
+            .find(|e| e.capacity != DEMAND_WINDOW)
+        {
             return Err(SnapshotError::Inconsistent {
                 message: format!(
-                    "estimator window capacity {} differs from the configured {window}",
+                    "estimator window capacity {} differs from the controller's {DEMAND_WINDOW}",
                     e.capacity
                 ),
             });
@@ -859,7 +866,7 @@ impl Chamulteon {
     }
 
     /// Runs the proactive cycle: re-forecasts when needed (forecast
-    /// exhausted or drifted) and plans the next `forecast_horizon`
+    /// exhausted or drifted) and plans the next `FORECAST_HORIZON`
     /// intervals from the new forecast.
     fn run_proactive_cycle(
         &mut self,
@@ -868,10 +875,16 @@ impl Chamulteon {
         demands: &[f64],
         instances: &[u32],
     ) {
+        /// Future scaling intervals each forecast plans for.
+        const FORECAST_HORIZON: usize = 8;
+        /// Entry-history points before the proactive cycle forecasts at
+        /// all (the paper requires seasonal history; with too little,
+        /// "forecasts contain only trend and noise components", §III-D).
+        const MIN_HISTORY: usize = 12;
         let Some(history) = &self.entry_history else {
             return;
         };
-        if history.len() < self.config.min_history {
+        if history.len() < MIN_HISTORY {
             return;
         }
 
@@ -896,8 +909,7 @@ impl Chamulteon {
             return;
         }
 
-        let horizon = self.config.forecast_horizon;
-        let Ok(forecast) = self.forecaster.forecast(history, horizon) else {
+        let Ok(forecast) = self.forecaster.forecast(history, FORECAST_HORIZON) else {
             // Ladder: the proactive cycle sits this round out; the
             // reactive cycle (or the held decision) still covers it.
             self.degrade(time, DegradationReason::ForecastFailed);
@@ -917,7 +929,7 @@ impl Chamulteon {
                 time,
                 EventKind::Forecast {
                     generation,
-                    horizon: u64::try_from(horizon).unwrap_or(u64::MAX),
+                    horizon: u64::try_from(FORECAST_HORIZON).unwrap_or(u64::MAX),
                     trusted,
                     mase,
                 },
@@ -1022,7 +1034,7 @@ mod tests {
     #[test]
     fn proactive_cycle_needs_history() {
         let mut c = controller(ChamulteonConfig::proactive_only());
-        // Fewer ticks than min_history: no forecast, no decisions — the
+        // Fewer ticks than MIN_HISTORY: no forecast, no decisions — the
         // controller keeps the current supply.
         let targets = c.tick(60.0, &samples_for(100.0, &[2, 2, 2]));
         assert_eq!(targets, vec![2, 2, 2]);

@@ -26,7 +26,7 @@
 //! # What is deliberately *not* captured
 //!
 //! * the **forecaster** and **drift detector** — stateless beyond their
-//!   configuration, rebuilt from [`ChamulteonConfig`];
+//!   fixed settings, rebuilt by `Chamulteon::new`;
 //! * the **obs bundle** — instrumentation never changes a decision
 //!   (pinned by the bit-identity tests); the restored controller starts
 //!   with a disabled bundle and the caller re-attaches its sink.
@@ -50,7 +50,6 @@
 //!
 //! [`Chamulteon::snapshot`]: crate::controller::Chamulteon::snapshot
 //! [`Chamulteon::restore`]: crate::controller::Chamulteon::restore
-//! [`ChamulteonConfig`]: crate::config::ChamulteonConfig
 //! [`ClusterArbiter::snapshot`]: crate::cluster::ClusterArbiter::snapshot
 
 use crate::degradation::{DegradationEvent, DegradationReason};

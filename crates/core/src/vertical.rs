@@ -206,12 +206,6 @@ pub fn hybrid_decisions(
                 .unwrap_or_else(|| model.service(i).nominal_demand())
         })
         .collect();
-    // A validated model is acyclic; fall back to index order if a cycle
-    // ever slips through so every service still receives a decision.
-    let order = model
-        .graph()
-        .topological_order()
-        .unwrap_or_else(|| (0..n).collect());
     let mut offered = vec![0.0; n];
     offered[model.entry()] = entry_rate.max(0.0);
     let mut out = vec![
@@ -222,7 +216,7 @@ pub fn hybrid_decisions(
         };
         n
     ];
-    for &node in &order {
+    for &node in model.graph().topological_order() {
         let spec = model.service(node);
         let decision = policy.decide(
             offered[node],

@@ -112,8 +112,6 @@ impl ApplicationModelBuilder {
         for (from, to, m) in &self.calls {
             edges.push((index_of(from)?, index_of(to)?, *m));
         }
-        // Bulk construction: one acyclicity check for the whole edge set
-        // instead of per-edge re-validation.
         let graph = InvocationGraph::from_edges(specs.len(), edges)?;
         let entry = match &self.entry {
             Some(name) => index_of(name)?,

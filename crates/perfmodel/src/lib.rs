@@ -7,12 +7,12 @@
 //!
 //! * the **services** with their instance bounds ([`ServiceSpec`]),
 //! * the **invocation graph** — which service calls which, how many times
-//!   per request ([`InvocationGraph`]),
+//!   per request ([`InvocationGraph`]), validated and sorted once into the
+//!   canonical topological order that Algorithm 1's arrival-rate walk
+//!   (`estimateArrivals`, in `chamulteon::algorithm`) and the simulator's
+//!   request path follow,
 //! * the **entry (user-facing) service** whose arrival rate is the only one
-//!   monitored and forecast,
-//! * the compiled [`ModelArena`] — canonical topological order, CSR edge
-//!   arrays and cached visit ratios — that Algorithm 1's arrival-rate
-//!   walk (`estimateArrivals`, in `chamulteon::algorithm`) reads.
+//!   monitored and forecast, with the visit ratios from it cached.
 //!
 //! Models are plain data, built with [`ApplicationModelBuilder`], by
 //! [`ApplicationModel::new`] or by the synthetic [`topology`] families —
@@ -36,7 +36,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately rejects NaN
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod builder;
 pub mod error;
 pub mod graph;
@@ -44,7 +43,6 @@ pub mod model;
 pub mod service;
 pub mod topology;
 
-pub use arena::ModelArena;
 pub use builder::ApplicationModelBuilder;
 pub use error::ModelError;
 pub use graph::InvocationGraph;

@@ -1,6 +1,5 @@
 //! The complete application model: services + invocation graph + entry.
 
-use crate::arena::ModelArena;
 use crate::error::ModelError;
 use crate::graph::InvocationGraph;
 use crate::service::ServiceSpec;
@@ -11,16 +10,15 @@ use crate::service::ServiceSpec;
 /// Construct with [`ApplicationModelBuilder`](crate::ApplicationModelBuilder)
 /// or [`ApplicationModel::new`].
 ///
-/// Validation compiles the model into a [`ModelArena`] — precomputed
-/// canonical topological order, CSR edge arrays and cached visit ratios —
-/// so every hot-path walk (propagation, sizing, backpressure) is
-/// allocation-free and never re-sorts the graph.
+/// The graph carries its topological order, and the visit ratios from the
+/// entry are folded once at construction, so no walk re-sorts the graph or
+/// recomputes them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationModel {
     services: Vec<ServiceSpec>,
     graph: InvocationGraph,
     entry: usize,
-    arena: ModelArena,
+    visit_ratios: Vec<f64>,
 }
 
 impl ApplicationModel {
@@ -30,10 +28,10 @@ impl ApplicationModel {
     /// # Errors
     ///
     /// Returns [`ModelError::Empty`] for zero services,
-    /// [`ModelError::DuplicateService`] for repeated names,
+    /// [`ModelError::DuplicateService`] for repeated names, and
     /// [`ModelError::UnknownService`] when the entry index or the graph
-    /// size does not match, and [`ModelError::CyclicInvocation`] for a
-    /// cyclic graph.
+    /// size does not match. The graph itself is acyclic by construction
+    /// ([`InvocationGraph::from_edges`]).
     pub fn new(
         services: Vec<ServiceSpec>,
         graph: InvocationGraph,
@@ -64,16 +62,12 @@ impl ApplicationModel {
                 name: format!("graph size {}", graph.service_count()),
             });
         }
-        let Some(arena) = ModelArena::compile(&services, &graph, entry) else {
-            // The size/entry checks above passed, so the only way compile
-            // can fail is a cyclic graph.
-            return Err(ModelError::CyclicInvocation);
-        };
+        let visit_ratios = graph.visit_ratios(entry);
         Ok(ApplicationModel {
             services,
             graph,
             entry,
-            arena,
+            visit_ratios,
         })
     }
 
@@ -94,7 +88,7 @@ impl ApplicationModel {
             ServiceSpec::new("validation", 0.1, 1, 200, 1)?,
             ServiceSpec::new("data", 0.04, 1, 200, 1)?,
         ];
-        let graph = InvocationGraph::chain(3);
+        let graph = InvocationGraph::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])?;
         ApplicationModel::new(services, graph, 0)
     }
 
@@ -112,15 +106,9 @@ impl ApplicationModel {
         &self.services[index]
     }
 
-    /// The invocation graph.
+    /// The invocation graph, with its topological order.
     pub fn graph(&self) -> &InvocationGraph {
         &self.graph
-    }
-
-    /// The compiled arena form of this model (precomputed topological
-    /// order, CSR edges, cached visit ratios).
-    pub fn arena(&self) -> &ModelArena {
-        &self.arena
     }
 
     /// Index of the user-facing (entry) service.
@@ -134,10 +122,10 @@ impl ApplicationModel {
     }
 
     /// Visit ratios per external request (see
-    /// [`InvocationGraph::visit_ratios`]) — served from the arena's cache,
-    /// no recomputation.
+    /// [`InvocationGraph::visit_ratios`]) — a copy of the ones folded at
+    /// construction.
     pub fn visit_ratios(&self) -> Vec<f64> {
-        self.arena.visit_ratios().to_vec()
+        self.visit_ratios.clone()
     }
 }
 
@@ -161,22 +149,24 @@ mod tests {
             ServiceSpec::new("a", 0.1, 1, 10, 1).unwrap(),
             ServiceSpec::new("a", 0.1, 1, 10, 1).unwrap(),
         ];
+        let edgeless = |n| InvocationGraph::from_edges(n, []).unwrap();
+        let chain = InvocationGraph::from_edges(2, [(0, 1, 1.0)]).unwrap();
         assert!(matches!(
-            ApplicationModel::new(dup, InvocationGraph::chain(2), 0),
+            ApplicationModel::new(dup, chain, 0),
             Err(ModelError::DuplicateService { .. })
         ));
 
         let one = vec![ServiceSpec::new("a", 0.1, 1, 10, 1).unwrap()];
         assert!(matches!(
-            ApplicationModel::new(one.clone(), InvocationGraph::new(1), 5),
+            ApplicationModel::new(one.clone(), edgeless(1), 5),
             Err(ModelError::UnknownService { .. })
         ));
         assert!(matches!(
-            ApplicationModel::new(one, InvocationGraph::new(2), 0),
+            ApplicationModel::new(one, edgeless(2), 0),
             Err(ModelError::UnknownService { .. })
         ));
         assert!(matches!(
-            ApplicationModel::new(vec![], InvocationGraph::new(0), 0),
+            ApplicationModel::new(vec![], edgeless(0), 0),
             Err(ModelError::Empty)
         ));
     }

@@ -1,126 +1,163 @@
-//! Property tests pinning the arena-compiled model to the graph it was
-//! compiled from.
+//! Property tests of the invocation graph: the one stored order, edge
+//! accumulation, cycle rejection and the visit-ratio fold.
 //!
-//! The arena (cached topological order, CSR edge arrays) exists purely as
-//! a faster *representation* — it must never change what is computed.
-//! Algorithm 1's walk reads exactly two things from it: the canonical
-//! topological order and each caller's outgoing calls. These properties
-//! sweep all four synthetic topology families plus hand-rolled edge lists
-//! with degenerate multiplicities (duplicate edges that accumulate,
-//! near-denormal weights) and assert that both equal what the public
-//! graph API computes on its own.
+//! Every generated topology family is index-topological, so on those
+//! graphs a walk in plain index order is indistinguishable from one in
+//! topological order. The inputs here are relabelled by a seeded
+//! permutation, so index order is generally not topological, and carry
+//! extra forward edges with duplicates and near-denormal multiplicities.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use chamulteon_perfmodel::{
-    topology, ApplicationModel, InvocationGraph, ServiceSpec, TopologyFamily,
+    topology, ApplicationModel, InvocationGraph, ModelError, ServiceSpec, TopologyFamily,
 };
 use proptest::prelude::*;
 
-/// The arena's topological order and per-caller calls equal the graph's,
-/// edge for edge and bit for bit.
-fn assert_arena_mirrors_graph(model: &ApplicationModel) -> Result<(), TestCaseError> {
-    let arena = model.arena();
-    let graph = model.graph();
-    let order = graph
-        .topological_order()
-        .expect("validated models are acyclic");
-    prop_assert_eq!(arena.topo_order(), order.as_slice());
-    for node in 0..model.service_count() {
-        let flat: Vec<(usize, u64)> = arena
-            .calls_from(node)
-            .map(|(to, m)| (to, m.to_bits()))
-            .collect();
-        let nested: Vec<(usize, u64)> = graph
-            .calls_from(node)
-            .iter()
-            .map(|&(to, m)| (to, m.to_bits()))
-            .collect();
-        prop_assert_eq!(flat, nested);
+/// Multiplicities of the extra edges, near-denormal included.
+const PALETTE: [f64; 4] = [1e-300, 0.25, 0.5, 1.0];
+
+/// A family index, a service count, a seed and extra edges as
+/// `(endpoint, endpoint, palette index)`.
+type EdgeInput = (usize, usize, u64, Vec<(usize, usize, usize)>);
+
+fn edge_inputs() -> impl Strategy<Value = EdgeInput> {
+    (
+        0usize..4,
+        1usize..40,
+        0u64..1_000,
+        prop::collection::vec((0usize..40, 0usize..40, 0usize..4), 0..32),
+    )
+}
+
+/// An acyclic edge list over `n` services: a topology family's edges plus
+/// the extra forward edges (duplicates kept), relabelled by a permutation
+/// drawn from `seed`. Also returns `n` and the new label of service 0, the
+/// families' root.
+fn relabelled_edges(input: &EdgeInput) -> (Vec<(usize, usize, f64)>, usize, usize) {
+    let (fam_index, n, seed, extra) = (input.0, input.1, input.2, &input.3);
+    let mut edges = topology::edges(TopologyFamily::ALL[fam_index], n, seed);
+    edges.extend(extra.iter().filter_map(|&(a, b, m)| {
+        let (from, to) = (a.min(b) % n, a.max(b) % n);
+        (from < to).then_some((from, to, PALETTE[m]))
+    }));
+    let mut label: Vec<usize> = (0..n).collect();
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let j = usize::try_from((state >> 33) % (i as u64 + 1)).unwrap();
+        label.swap(i, j);
     }
-    Ok(())
+    let edges = edges
+        .into_iter()
+        .map(|(from, to, m)| (label[from], label[to], m))
+        .collect();
+    (edges, n, label[0])
+}
+
+/// The reference order: repeatedly take the smallest-index service whose
+/// callers have all been taken.
+fn smallest_index_ready_order(n: usize, edges: &[(usize, usize, f64)]) -> Vec<usize> {
+    let mut taken = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
+        let next = (0..n)
+            .find(|&s| !taken[s] && edges.iter().all(|&(from, to, _)| to != s || taken[from]))
+            .expect("an acyclic graph always has a ready service");
+        taken[next] = true;
+        order.push(next);
+    }
+    order
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The arena's order and CSR edges mirror the graph over every
-    /// topology family.
+    /// The stored order is a permutation in which every edge points
+    /// forward, and it is the smallest-index-ready order.
     #[test]
-    fn arena_mirrors_graph_over_families(
-        fam_index in 0usize..4,
-        n in 1usize..60,
-        seed in 0u64..1_000,
+    fn stored_order_is_the_smallest_index_ready_order(
+        input in edge_inputs(),
     ) {
-        let fam = TopologyFamily::ALL[fam_index];
-        let model = topology::model(fam, n, seed).expect("generated model is valid");
-        assert_arena_mirrors_graph(&model)?;
-    }
-
-    /// Bulk `from_edges` construction is indistinguishable from the
-    /// incremental `add_call` loop: same adjacency (order and accumulated
-    /// multiplicities) and same canonical topological order.
-    #[test]
-    fn from_edges_matches_add_call_loop(
-        fam_index in 0usize..4,
-        n in 1usize..48,
-        seed in 0u64..1_000,
-    ) {
-        let fam = TopologyFamily::ALL[fam_index];
-        let edges = topology::edges(fam, n, seed);
-        let bulk = InvocationGraph::from_edges(n, edges.clone()).expect("acyclic");
-        let mut incremental = InvocationGraph::new(n);
-        for (from, to, multiplicity) in edges {
-            incremental.add_call(from, to, multiplicity).expect("valid edge");
+        let (edges, n, _) = relabelled_edges(&input);
+        let graph = InvocationGraph::from_edges(n, edges.clone()).expect("acyclic");
+        let order = graph.topological_order();
+        let mut position = vec![usize::MAX; n];
+        for (pos, &s) in order.iter().enumerate() {
+            prop_assert_eq!(position[s], usize::MAX, "service {} twice in the order", s);
+            position[s] = pos;
         }
-        for node in 0..n {
-            prop_assert_eq!(bulk.calls_from(node), incremental.calls_from(node));
+        prop_assert_eq!(order.len(), n);
+        for &(from, to, _) in &edges {
+            prop_assert!(position[from] < position[to], "edge {}->{} points back", from, to);
         }
-        prop_assert_eq!(bulk.topological_order(), incremental.topological_order());
+        prop_assert_eq!(order, smallest_index_ready_order(n, &edges).as_slice());
     }
 
-    /// The arena's cached visit ratios agree with the graph's on-demand
-    /// computation for every family.
+    /// Duplicate edges accumulate onto their first occurrence, and each
+    /// caller keeps its calls in insertion order.
     #[test]
-    fn cached_visit_ratios_match_graph(
-        fam_index in 0usize..4,
-        n in 1usize..60,
-        seed in 0u64..1_000,
+    fn duplicate_edges_accumulate_onto_their_first_occurrence(
+        input in edge_inputs(),
     ) {
-        let fam = TopologyFamily::ALL[fam_index];
-        let model = topology::model(fam, n, seed).expect("generated model is valid");
-        prop_assert_eq!(model.visit_ratios(), model.graph().visit_ratios(model.entry()));
+        let (edges, n, _) = relabelled_edges(&input);
+        let graph = InvocationGraph::from_edges(n, edges.clone()).expect("acyclic");
+        let mut expected: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        for &(from, to, m) in &edges {
+            match expected[from].iter_mut().find(|(t, _)| *t == to) {
+                Some(slot) => slot.1 = (f64::from_bits(slot.1) + m).to_bits(),
+                None => expected[from].push((to, m.to_bits())),
+            }
+        }
+        for (node, calls) in expected.iter().enumerate() {
+            let stored: Vec<(usize, u64)> = graph
+                .calls_from(node)
+                .iter()
+                .map(|&(to, m)| (to, m.to_bits()))
+                .collect();
+            prop_assert_eq!(&stored, calls);
+        }
     }
 
-    /// Degenerate multiplicities: duplicate edges accumulate, and
-    /// near-denormal weights survive compilation identically in arena and
-    /// graph form.
+    /// Adding any edge in reverse closes a cycle, which `from_edges`
+    /// rejects.
     #[test]
-    fn arena_mirrors_graph_with_degenerate_multiplicities(
-        n in 2usize..24,
-        seed in 0u64..1_000,
-        raw_edges in prop::collection::vec((0usize..24, 0usize..24, 0usize..4), 1..64),
+    fn any_reversed_edge_makes_the_graph_cyclic(
+        input in edge_inputs(),
     ) {
-        const PALETTE: [f64; 4] = [1e-300, 0.25, 0.5, 1.0];
-        // Force index-topological edges (from < to) so the set is acyclic;
-        // duplicates are kept so accumulation is exercised.
-        let edges: Vec<(usize, usize, f64)> = raw_edges
-            .into_iter()
-            .filter_map(|(a, b, m)| {
-                let (from, to) = ((a.min(b)) % n, (a.max(b)) % n);
-                (from < to).then_some((from, to, PALETTE[m]))
-            })
+        let (edges, n, _) = relabelled_edges(&input);
+        for &(from, to, m) in &edges {
+            let mut cyclic = edges.clone();
+            cyclic.push((to, from, m));
+            prop_assert_eq!(
+                InvocationGraph::from_edges(n, cyclic),
+                Err(ModelError::CyclicInvocation)
+            );
+        }
+    }
+
+    /// The model's visit ratios are `ratio[to] += ratio[from]·m` folded in
+    /// the reference order, bit for bit.
+    #[test]
+    fn visit_ratios_fold_along_the_stored_order(
+        input in edge_inputs(),
+    ) {
+        let (edges, n, entry) = relabelled_edges(&input);
+        let graph = InvocationGraph::from_edges(n, edges.clone()).expect("acyclic");
+        let mut expected = vec![0.0f64; n];
+        expected[entry] = 1.0;
+        for node in smallest_index_ready_order(n, &edges) {
+            for &(to, m) in graph.calls_from(node) {
+                expected[to] += expected[node] * m;
+            }
+        }
+        let services = (0..n)
+            .map(|i| ServiceSpec::new(format!("s{i}"), 0.1, 1, 10, 1).expect("valid spec"))
             .collect();
-        let graph = InvocationGraph::from_edges(n, edges).expect("index-topological is acyclic");
-        let mut rng = seed;
-        let services: Vec<ServiceSpec> = (0..n)
-            .map(|i| {
-                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                let demand = 0.01 + f64::from(u32::try_from(rng >> 40).unwrap_or(0) % 100) / 400.0;
-                ServiceSpec::new(format!("s{i}"), demand, 1, 10_000, 1).expect("valid spec")
-            })
-            .collect();
-        let model = ApplicationModel::new(services, graph, 0).expect("valid model");
-        assert_arena_mirrors_graph(&model)?;
+        let model = ApplicationModel::new(services, graph, entry).expect("valid model");
+        let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&model.visit_ratios()), bits(&expected));
     }
 }

@@ -237,16 +237,14 @@ impl Simulation {
     /// is set, the regimes are evaluated immediately, so a trace that is
     /// already past the threshold at `t = 0` starts fluid.
     pub fn new(model: &ApplicationModel, trace: &LoadTrace, config: SimulationConfig) -> Self {
-        let path: Vec<usize> = {
-            // A validated model is acyclic; fall back to index order if a
-            // cycle ever slips through so the request path stays complete.
-            let order = model
-                .graph()
-                .topological_order()
-                .unwrap_or_else(|| (0..model.service_count()).collect());
-            let ratios = model.visit_ratios();
-            order.into_iter().filter(|&s| ratios[s] > 0.0).collect()
-        };
+        let ratios = model.visit_ratios();
+        let path: Vec<usize> = model
+            .graph()
+            .topological_order()
+            .iter()
+            .copied()
+            .filter(|&s| ratios[s] > 0.0)
+            .collect();
         let true_demands: Vec<f64> = model
             .services()
             .iter()

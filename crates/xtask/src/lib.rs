@@ -79,7 +79,9 @@ pub const DECISION_PATH_CRATES: &[&str] = &[
 /// where a panic would discard hours of simulated time. The cluster
 /// arbiter, its conformance oracle and the multi-tenant loop join the
 /// list because they hold the shared budget and the cross-tenant billing
-/// ledger: a panic there takes down every tenant at once.
+/// ledger: a panic there takes down every tenant at once. The invocation
+/// graph, whose stored order Algorithm 1's walk and the simulator's
+/// request path follow, and the topology generators are pinned likewise.
 pub const DECISION_PATH_MODULES: &[&str] = &[
     "bench/src/des_scale.rs",
     "bench/src/drivers.rs",
@@ -92,7 +94,7 @@ pub const DECISION_PATH_MODULES: &[&str] = &[
     "core/src/cluster.rs",
     "core/src/snapshot.rs",
     "obs/src/json.rs",
-    "perfmodel/src/arena.rs",
+    "perfmodel/src/graph.rs",
     "perfmodel/src/topology.rs",
     "sim/src/engine.rs",
     "sim/src/event.rs",
