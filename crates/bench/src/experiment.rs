@@ -321,7 +321,10 @@ pub(crate) fn decide(state: &mut RunState, spec: &ExperimentSpec) -> Option<Cycl
 /// The actuate half of `cycle`: applies each target, retrying failed
 /// commands under `retry` with backoff advancing the simulated clock (no
 /// retry crosses into the next scaling interval), then takes the cadence
-/// checkpoint.
+/// checkpoint. Services are scaled in the invocation graph's stored
+/// order, not index order: simultaneous simulator events fire in
+/// scheduling order, so this keeps a run independent of how the model
+/// numbers its services.
 pub(crate) fn actuate(
     state: &mut RunState,
     spec: &ExperimentSpec,
@@ -334,7 +337,10 @@ pub(crate) fn actuate(
         .min(spec.trace.duration())
         .max(t);
     let mut clock = t;
-    for (s, &target) in cycle.targets.iter().enumerate() {
+    for &s in spec.model.graph().topological_order() {
+        let Some(&target) = cycle.targets.get(s) else {
+            continue;
+        };
         let mut attempt = 0u32;
         loop {
             state.obs.metrics().increment("actuation.attempts");
@@ -557,6 +563,42 @@ mod tests {
             assert!(outcome.report.apdex >= 0.0 && outcome.report.apdex <= 100.0);
             assert!(outcome.report.slo_violations >= 0.0);
             assert_eq!(outcome.demand.len(), 3);
+        }
+    }
+
+    #[test]
+    fn relabelling_the_model_leaves_a_run_unchanged() {
+        // The paper chain declared as `data, ui, validation`, so that index
+        // order is not the call order `ui → validation → data`.
+        let relabelled = ExperimentSpec {
+            model: chamulteon_perfmodel::ApplicationModelBuilder::new()
+                .service("data", 0.04, 1, 200, 1)
+                .service("ui", 0.059, 1, 200, 1)
+                .service("validation", 0.1, 1, 200, 1)
+                .call("ui", "validation", 1.0)
+                .call("validation", "data", 1.0)
+                .entry("ui")
+                .build()
+                .unwrap(),
+            ..smoke_test()
+        };
+        let paper = run_experiment(&smoke_test(), ScalerKind::Chamulteon);
+        let other = run_experiment(&relabelled, ScalerKind::Chamulteon);
+        let bits = |o: &ExperimentOutcome| {
+            let r = &o.report;
+            [r.slo_violations, r.apdex, r.instance_hours].map(f64::to_bits)
+        };
+        assert_eq!(bits(&paper), bits(&other));
+        let timeline = |o: &ExperimentOutcome, s: usize| -> Vec<(u64, u32)> {
+            o.result.supply[s]
+                .iter()
+                .map(|c| (c.time.to_bits(), c.running))
+                .collect()
+        };
+        // Where each `paper_benchmark()` service (ui, validation, data)
+        // sits in the relabelled model.
+        for (s, relabelled_s) in [1, 2, 0].into_iter().enumerate() {
+            assert_eq!(timeline(&paper, s), timeline(&other, relabelled_s), "{s}");
         }
     }
 

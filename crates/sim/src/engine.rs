@@ -188,10 +188,12 @@ pub struct Simulation {
     /// station fluid does not perturb the discrete service-time draws.
     tail_rng: StdRng,
     /// One-entry memo per service for the fluid sojourn law, keyed by
-    /// [`LawKey`]. Rebuilding a law whose wait is not certified
-    /// negligible runs an O(servers) Erlang-C recurrence (~10⁵ steps at
-    /// production scale), which must happen per segment/supply change,
-    /// not per sample.
+    /// [`LawKey`]. Certifying a negligible wait is O(1) (the Erlang-B
+    /// product bound `∏_{k=⌈a⌉}^{n} a/k`, through Binet's bound on lnΓ,
+    /// below −44, `ln 2⁻⁶³` less a rounding margin), but rebuilding a law
+    /// that is not certified runs an O(servers) Erlang-C recurrence
+    /// (~10⁵ steps at production scale), which must happen per
+    /// segment/supply change, not per sample.
     law_cache: Vec<Option<(LawKey, fluid::SojournLaw)>>,
     // Accounting.
     total_sent: u64,
@@ -1173,9 +1175,10 @@ impl Simulation {
     }
 
     /// The fluid sojourn law of `service` at arrival rate `lam` with `n`
-    /// running instances at `speed`, memoized per service — a law whose
-    /// wait is not certified negligible runs an O(n) Erlang-C recurrence,
-    /// which must not run per sample. Callers guarantee
+    /// running instances at `speed`, memoized per service. A law whose
+    /// Erlang-B product bound (with Binet's bound on lnΓ) certifies a
+    /// negligible wait costs O(1); any other runs an O(n) Erlang-C
+    /// recurrence, which must not run per sample. Callers guarantee
     /// `true_demands[service] > 0`.
     fn station_law(&mut self, service: usize, lam: f64, n: u32, speed: f64) -> fluid::SojournLaw {
         let key = (lam.to_bits(), n, speed.to_bits());

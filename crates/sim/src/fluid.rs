@@ -20,9 +20,9 @@
 //! analytic stationary law: with probability Erlang-C(n, a) the request
 //! waits an `Exp(nμ − λ)` time, otherwise zero, plus an `Exp(μ)` service
 //! time. Above saturation, where no stationary law exists, the wait is
-//! the deterministic backlog drain time `(x − n)/(n·μ)`. Where a short
-//! bound certifies that Erlang-C lies below the sampler's draw grid, the
-//! law skips the O(n) recurrence (see [`SojournLaw`]).
+//! the deterministic backlog drain time `(x − n)/(n·μ)`. Where a
+//! closed-form bound certifies that Erlang-C lies below the sampler's
+//! draw grid, the law skips the O(n) recurrence (see [`SojournLaw`]).
 
 use chamulteon_queueing::erlang::erlang_c;
 use rand::rngs::StdRng;
@@ -136,10 +136,12 @@ pub(crate) fn advance(x0: f64, lambda: f64, servers: u32, mu: f64, dt: f64) -> F
 /// is a multiple of 2⁻⁵³ in `[0, 1)`.
 const DRAW_GRID: f64 = f64::EPSILON / 2.0;
 
-/// Erlang-B bound that certifies a negligible wait: 2⁻⁶³. Under the
-/// stable-region guard `a < 0.999·n`, `C = n·B/(n − a(1 − B)) <
-/// n·B/(0.001·n) = 1000·B < 1024·B`, so `B < 2⁻⁶³` gives `C < 2⁻⁵³`.
-const NEGLIGIBLE_BLOCKING: f64 = DRAW_GRID / 1024.0;
+/// Log of the Erlang-B bound that certifies a negligible wait:
+/// `ln 2⁻⁶³ ≈ −43.67`, less a margin for rounding in the closed form
+/// [`wait_is_negligible`] evaluates. Under the stable-region guard
+/// `a < 0.999·n`, `C = n·B/(n − a(1 − B)) < n·B/(0.001·n) = 1000·B <
+/// 1024·B`, so `B < 2⁻⁶³` gives `C < 2⁻⁵³`.
+const LN_NEGLIGIBLE_BLOCKING: f64 = -44.0;
 
 /// The precomputed stationary law of a fluid M/M/n station: everything
 /// about the sojourn distribution that does not depend on the RNG or the
@@ -147,18 +149,22 @@ const NEGLIGIBLE_BLOCKING: f64 = DRAW_GRID / 1024.0;
 /// same `(λ, n, μ)` build the law once and
 /// [`sample`](SojournLaw::sample) from it; sampling is O(1).
 ///
-/// Building a stable law first tries to certify that the Erlang-C
-/// waiting probability `c` is below [`DRAW_GRID`] (2⁻⁵³). It reruns the
-/// Erlang-B step `b ← a·b/(k + a·b)` from `b = 1` at `k = ⌈a⌉`. The step
-/// increases with `b`, so this `b` bounds `B(k, a)` from above for every
-/// `k ≥ ⌈a⌉`; and past `a` each step shrinks it. Once it falls below
-/// 2⁻⁶³ ([`NEGLIGIBLE_BLOCKING`]), the guard `a < 0.999·n` bounds
-/// `c < 1000·B(n, a) < 2⁻⁵³`. That takes O(√a) steps (about 3,000 at
-/// `a = 10⁵`) and never reaches a subnormal float. A certified law is
-/// [`NegligibleWait`](SojournLaw::NegligibleWait): since every uniform
+/// Building a stable law first tries to certify, in O(1), that the
+/// Erlang-C waiting probability `c` is below [`DRAW_GRID`] (2⁻⁵³). Run
+/// the Erlang-B step `b ← a·b/(k + a·b)` from `b = 1` at `k = ⌈a⌉`: the
+/// step increases with `b`, so this `b` bounds `B(k, a)` from above, and
+/// it is at most `(a/k)·b`. Hence the product bound
+/// `B(n, a) ≤ ∏_{k=⌈a⌉}^{n} a/k = a^(n−⌈a⌉+1)·Γ(⌈a⌉)/Γ(n+1)`. Binet's
+/// bound `lnΓ(x) = (x − ½)·ln x − x + ½·ln 2π + θ/(12x)`, `0 < θ < 1`,
+/// bounds the log of that product from above in three `ln` calls
+/// ([`wait_is_negligible`]). Once it is below −44
+/// ([`LN_NEGLIGIBLE_BLOCKING`]: `ln 2⁻⁶³` less a rounding margin), the
+/// guard `a < 0.999·n` bounds `c < 1000·B(n, a) < 2⁻⁵³`. A certified law
+/// is [`NegligibleWait`](SojournLaw::NegligibleWait): since every uniform
 /// draw is a multiple of 2⁻⁵³, only the draw `u = 0` can fall below `c`,
-/// and on that draw alone the law evaluates the exact Erlang-C. A law
-/// that is not certified (a load within about 10·√a of n) still runs the
+/// and on that draw alone the law evaluates the exact Erlang-C. The
+/// product's log is about `−(n − a)²/(2a)`, so a law that is not
+/// certified has a load within about 9.4·√a of n; it still runs the
 /// O(n) Erlang-C recurrence, which is why the engine memoizes laws.
 ///
 /// Each variant burns exactly the draws the corresponding branch of the
@@ -207,8 +213,8 @@ pub(crate) enum SojournLaw {
 
 impl SojournLaw {
     /// Builds the law for arrival rate `lambda`, `servers` servers and
-    /// per-server rate `mu`. This is the expensive step: O(√a) when the
-    /// wait is certified negligible, else an O(n) Erlang-C recurrence.
+    /// per-server rate `mu`. O(1) when the wait is certified negligible,
+    /// else the expensive step: an O(n) Erlang-C recurrence.
     pub(crate) fn new(lambda: f64, servers: u32, mu: f64) -> Self {
         if !(mu > 0.0) || !mu.is_finite() {
             return SojournLaw::Starved;
@@ -291,19 +297,22 @@ impl SojournLaw {
 }
 
 /// Whether Erlang-C(n, a) is certified below 2⁻⁵³ for a stable load
-/// `a < 0.999·n`, by the Erlang-B bound [`SojournLaw`] describes; stops
-/// at `k = n` without a certificate.
+/// `a < 0.999·n`, by the product bound [`SojournLaw`] describes: with
+/// `k = max(⌈a⌉, 1)`, `ln ∏ a/k = (n − k + 1)·ln a + lnΓ(k) − lnΓ(n + 1)`,
+/// taking Binet's upper bound for `lnΓ(k)` and its lower bound (θ = 0)
+/// for `lnΓ(n + 1)`; their `½·ln 2π` terms cancel. `a = 0` gives
+/// `ln a = −∞`, a certificate, and indeed `B(n, 0) = 0`. The terms reach
+/// about 10¹¹ at `n = 2³²`, whose rounding moves the sum by far less than
+/// the 0.33 margin in [`LN_NEGLIGIBLE_BLOCKING`]. O(1).
 fn wait_is_negligible(n: f64, a: f64) -> bool {
-    let mut b = 1.0_f64;
-    let mut k = a.ceil().max(1.0);
-    while k <= n {
-        b = a * b / (k + a * b);
-        if b < NEGLIGIBLE_BLOCKING {
-            return true;
-        }
-        k += 1.0;
+    let k = a.ceil().max(1.0);
+    if k > n {
+        return false;
     }
-    false
+    let ln_bound = (n - k + 1.0) * a.ln() + (k - 0.5) * k.ln() - k + 1.0 / (12.0 * k)
+        - (n + 0.5) * (n + 1.0).ln()
+        + (n + 1.0);
+    ln_bound < LN_NEGLIGIBLE_BLOCKING
 }
 
 /// Draws one analytic sojourn (wait + service) at a fluid M/M/n station
@@ -455,6 +464,70 @@ mod tests {
         // Zero capacity reports the starved sentinel.
         let s = sample_sojourn(10.0, 0, 2.0, 5.0, &mut rng);
         assert!(s >= STARVED_WAIT);
+    }
+
+    /// The Erlang-B walk the closed form replaced, kept as its oracle:
+    /// from `b = 1` at `k = ⌈a⌉`, one step per server until `b < 2⁻⁶³`
+    /// (a certificate) or `k > n` (none).
+    fn walk_certifies(n: f64, a: f64) -> bool {
+        let mut b = 1.0_f64;
+        let mut k = a.ceil().max(1.0);
+        while k <= n {
+            b = a * b / (k + a * b);
+            if b < DRAW_GRID / 1024.0 {
+                return true;
+            }
+            k += 1.0;
+        }
+        false
+    }
+
+    #[test]
+    fn the_closed_form_certifies_only_what_the_walk_certifies() {
+        // The bound's slack hides a threshold above ln 2⁻⁶³ from the
+        // walk, so the margin is pinned on its own.
+        assert!(LN_NEGLIGIBLE_BLOCKING < (DRAW_GRID / 1024.0).ln());
+        // The octave grid of `certified_waits_are_below_the_draw_grid`.
+        let mut rng = StdRng::seed_from_u64(12);
+        let (mut walked, mut missed) = (0u32, 0u32);
+        for _ in 0..20_000 {
+            let octave = 1u32 << rng.gen_range(0..18);
+            let n = (octave + rng.gen_range(0..octave)).min(200_000);
+            let a = f64::from(n) * rng.gen_range(0.0..0.999);
+            let closed = wait_is_negligible(f64::from(n), a);
+            if !walk_certifies(f64::from(n), a) {
+                assert!(
+                    !closed,
+                    "n={n} a={a}: the walk rejects what the bound certifies"
+                );
+                continue;
+            }
+            walked += 1;
+            missed += u32::from(!closed);
+        }
+        // The bound's slack may send at most 2 % of the walk's
+        // certificates to the exact path.
+        assert!(
+            walked > 5_000 && missed * 50 <= walked,
+            "{missed} of {walked} walk certificates missed"
+        );
+    }
+
+    #[test]
+    fn the_headline_day_never_falls_back_to_the_exact_path() {
+        // The stations of the des-scale headline day (`headline_case`),
+        // sized for ρ = 0.7 at its 10⁶ req/s peak, over every rate up to
+        // the peak.
+        for (demand, n) in [(0.059, 84_286u32), (0.1, 142_858), (0.04, 57_143)] {
+            for step in 0..=10_000u32 {
+                let lambda = f64::from(step) * 100.0;
+                let law = SojournLaw::new(lambda, n, 1.0 / demand);
+                assert!(
+                    matches!(law, SojournLaw::NegligibleWait { .. }),
+                    "demand {demand} s, λ = {lambda}: {law:?}"
+                );
+            }
+        }
     }
 
     #[test]
