@@ -7,10 +7,22 @@
 //! one-record-per-line formats (JSONL traces, snapshots) and
 //! [`Writer::indented`] for whole documents (two-space indent,
 //! `"key": value`, one member or element per line). Finite floats are
-//! written with Rust's `{}` Display — the shortest text that parses back
-//! to the same bits, never in exponent notation — and non-finite floats
-//! as `null`. Strings escape `"`, `\`, `\n`, `\r` and `\t` by name and
-//! every other control character as `\u00XX`.
+//! written as Rust's `{}` Display writes them — the shortest text that
+//! parses back to the same bits, never in exponent notation — and
+//! non-finite floats as `null`. Strings escape `"`, `\`, `\n`, `\r` and
+//! `\t` by name and every other control character as `\u00XX`.
+//!
+//! Common values skip `core::fmt` but write the same bytes. Unsigned
+//! integers take a digit loop and `bool`s a literal. A float that is an
+//! integer below 2^53 in magnitude takes the same digit loop, with a `-`
+//! when its sign bit is set (`-0.0` is `-0`). Below 2^53 adjacent floats
+//! are at most 1 apart, so no other decimal as short as the integer
+//! reads back as that float, and Display's shortest round trip is the
+//! integer's own digits. From 2^53 on, Display may write fewer
+//! significant digits than the integer has (2^60 is
+//! `1152921504606847000`), so larger floats, like fractional ones, go
+//! through Display. A string with no `"`, `\` or control byte is copied
+//! whole; any other goes through the escaper.
 //!
 //! **Reading.** [`parse`] reads a whole document into a [`Value`];
 //! [`parse_record`] reads one object of a record-per-line format into a
@@ -52,9 +64,21 @@ impl std::error::Error for JsonError {}
 
 // --- writing ------------------------------------------------------------
 
-/// The one escaper: appends `s` as a JSON string literal.
+/// Appends `s` as a JSON string literal: copied whole when no byte needs
+/// an escape, through the one escaper otherwise.
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    if s.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)) {
+        write_escaped(out, s);
+    } else {
+        out.push_str(s);
+    }
+    out.push('"');
+}
+
+/// The one escaper: appends the body of `s` with every `"`, `\` and
+/// control byte escaped.
+fn write_escaped(out: &mut String, s: &str) {
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -77,21 +101,63 @@ fn write_string(out: &mut String, s: &str) {
         run = i + 1;
     }
     out.push_str(&s[run..]);
-    out.push('"');
 }
 
 /// The one float rule: shortest round-trip Display when finite, `null`
-/// otherwise.
+/// otherwise; an integer below 2^53 in magnitude takes the digit loop,
+/// which writes the same bytes.
 fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
+    if let Some(magnitude) = small_integer_magnitude(v) {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        write_uint(out, magnitude);
+    } else if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
 }
 
-fn write_display(out: &mut String, v: impl Display) {
-    let _ = write!(out, "{v}");
+/// `|v|` when `v` is an integer (±0 included) below 2^53 in magnitude.
+fn small_integer_magnitude(v: f64) -> Option<u64> {
+    let bits = v.to_bits();
+    let exponent = (bits >> 52) & 0x7ff;
+    let fraction = bits & ((1 << 52) - 1);
+    match exponent {
+        // ±0, or a subnormal, which is no integer.
+        0 => (fraction == 0).then_some(0),
+        // |v| = (2^52 + fraction) · 2^(exponent − 1075), in [1, 2^53).
+        1023..=1075 => {
+            let significand = fraction | 1 << 52;
+            let shift = 1075 - exponent;
+            (significand & ((1 << shift) - 1) == 0).then_some(significand >> shift)
+        }
+        _ => None,
+    }
+}
+
+/// Appends the decimal digits of an unsigned integer, as Display writes
+/// them. Every unsigned type the writer takes fits a `u64`.
+fn write_uint(out: &mut String, v: impl TryInto<u64>) {
+    let mut digits = [0; 20];
+    let mut start = digits.len();
+    let mut rest = v.try_into().unwrap_or(u64::MAX);
+    loop {
+        start -= 1;
+        digits[start] = b'0' + u8::try_from(rest % 10).unwrap_or(0);
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    for &digit in &digits[start..] {
+        out.push(char::from(digit));
+    }
+}
+
+fn write_bool(out: &mut String, v: bool) {
+    out.push_str(if v { "true" } else { "false" });
 }
 
 /// A streaming JSON writer over a caller-owned `String`.
@@ -216,10 +282,10 @@ impl<'o> Writer<'o> {
 
     scalar_writers! {
         f64, opt_f64, push_f64, f64_array: f64 => write_f64;
-        u64, opt_u64, push_u64, u64_array: u64 => write_display;
-        u32, opt_u32, push_u32, u32_array: u32 => write_display;
-        usize, opt_usize, push_usize, usize_array: usize => write_display;
-        bool, opt_bool, push_bool, bool_array: bool => write_display;
+        u64, opt_u64, push_u64, u64_array: u64 => write_uint;
+        u32, opt_u32, push_u32, u32_array: u32 => write_uint;
+        usize, opt_usize, push_usize, usize_array: usize => write_uint;
+        bool, opt_bool, push_bool, bool_array: bool => write_bool;
         str, opt_str, push_str, str_array: &str => write_string;
     }
 

@@ -2,6 +2,9 @@
 //! shares: floats round-trip by bits, strings round-trip through every
 //! escape, truncated and garbage input is rejected with a position inside
 //! it (never a panic), and the strict grammar rejects what RFC 8259 does.
+//! The writer's fast paths (integers, integer-valued floats, escape-free
+//! strings) write exactly what `{}` Display and the per-byte escaper
+//! write.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -24,6 +27,46 @@ fn round_trip_f64(v: f64) -> f64 {
     json::parse_record(&text, 1)
         .and_then(|r| r.f64("v"))
         .unwrap_or_else(|e| panic!("{text}: {e}"))
+}
+
+/// The text the writer gives one member, between `{"v":` and `}`.
+fn member_text(fill: impl FnOnce(&mut Writer<'_>)) -> String {
+    let text = record_with(fill);
+    let body = text
+        .strip_prefix("{\"v\":")
+        .and_then(|t| t.strip_suffix('}'));
+    body.unwrap_or_else(|| panic!("{text}")).to_owned()
+}
+
+/// A compact array of `values` as each element's Display writes it.
+fn display_array<T: std::fmt::Display>(values: &[T]) -> String {
+    let items: Vec<String> = values.iter().map(T::to_string).collect();
+    format!("[{}]", items.join(","))
+}
+
+fn written_f64(v: f64) -> String {
+    member_text(|w| {
+        w.f64("v", v);
+    })
+}
+
+/// The per-byte escaper the writer used before it copied escape-free
+/// strings whole: the reference the fast path must match.
+fn reference_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\0'..='\u{1f}' => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            _ => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 fn round_trip_str(s: &str) -> String {
@@ -102,6 +145,53 @@ fn float_edge_cases_round_trip_by_bits() {
         );
         assert!(round_trip_f64(v).is_nan());
     }
+}
+
+#[test]
+fn fast_paths_write_what_display_writes() {
+    let mut floats = vec![0.0, -0.0, 1.0, -1.0, 1e21, 1e23, f64::MAX, f64::MIN];
+    for k in 0..=53 {
+        let p = 2f64.powi(k);
+        floats.extend([p - 1.0, p, p + 1.0]);
+    }
+    floats.extend([2f64.powi(53) + 2.0, 2f64.powi(60)]);
+    for v in floats {
+        for v in [v, -v] {
+            assert_eq!(written_f64(v), format!("{v}"), "{v:e}");
+        }
+    }
+    // The cases the integer path must leave to Display.
+    assert_eq!(written_f64(-0.0), "-0");
+    assert_eq!(written_f64(2f64.powi(60)), "1152921504606847000");
+    assert_eq!(written_f64(1e23), "100000000000000000000000");
+    let u64s = [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+    assert_eq!(
+        member_text(|w| {
+            w.u64_array("v", &u64s);
+        }),
+        display_array(&u64s)
+    );
+    let u32s = [0, 7, u32::MAX];
+    assert_eq!(
+        member_text(|w| {
+            w.u32_array("v", &u32s);
+        }),
+        display_array(&u32s)
+    );
+    let usizes = [0, 42, usize::MAX];
+    assert_eq!(
+        member_text(|w| {
+            w.usize_array("v", &usizes);
+        }),
+        display_array(&usizes)
+    );
+    let bools = [true, false];
+    assert_eq!(
+        member_text(|w| {
+            w.bool_array("v", &bools);
+        }),
+        display_array(&bools)
+    );
 }
 
 #[test]
@@ -241,6 +331,57 @@ proptest! {
     fn strings_round_trip(chars in prop::collection::vec((0u32..5, 0u32..0x11_0000), 0..24)) {
         let s: String = chars.iter().map(|&(category, code)| pick_char(category, code)).collect();
         prop_assert_eq!(round_trip_str(&s), s);
+    }
+
+    #[test]
+    fn integers_of_every_bit_length_write_as_display(
+        bits in 0u32..=64,
+        raw in 0u64..=u64::MAX,
+        negative in any::<bool>(),
+    ) {
+        // `raw` cut to exactly `bits` bits: 0 for none, 2^63 and up for 64.
+        let magnitude = match bits {
+            0 => 0,
+            64 => raw | 1 << 63,
+            _ => raw & ((1 << bits) - 1) | 1 << (bits - 1),
+        };
+        prop_assert_eq!(member_text(|w| { w.u64("v", magnitude); }), magnitude.to_string());
+        let low = u32::try_from(magnitude & u64::from(u32::MAX)).unwrap();
+        prop_assert_eq!(member_text(|w| { w.u32("v", low); }), low.to_string());
+        let index = usize::try_from(magnitude).unwrap();
+        prop_assert_eq!(member_text(|w| { w.usize("v", index); }), index.to_string());
+        // Rounded to the nearest float: exact below 2^53, an integer
+        // with fewer significant digits from there on.
+        let v = if negative { -(magnitude as f64) } else { magnitude as f64 };
+        prop_assert_eq!(written_f64(v), format!("{v}"));
+    }
+
+    #[test]
+    fn floats_write_as_display(v in any::<f64>(), tiny in 0u64..(1 << 52)) {
+        prop_assert_eq!(written_f64(v), format!("{v}"));
+        let subnormal = f64::from_bits(tiny);
+        prop_assert_eq!(written_f64(subnormal), format!("{subnormal}"));
+    }
+
+    #[test]
+    fn strings_write_as_the_per_byte_escaper(
+        chars in prop::collection::vec((0u32..5, 0u32..0x11_0000), 0..24),
+        plain in any::<bool>(),
+    ) {
+        // Half the cases hold no byte that needs an escape.
+        let s: String = chars
+            .iter()
+            .map(|&(category, code)| {
+                let category = if plain && category < 2 { 2 } else { category };
+                pick_char(category, code)
+            })
+            .collect();
+        let expected = reference_string(&s);
+        prop_assert_eq!(member_text(|w| { w.str("v", &s); }), expected.clone());
+        let keyed = record_with(|w| {
+            w.u32(&s, 0);
+        });
+        prop_assert_eq!(keyed, format!("{{{expected}:0}}"));
     }
 
     #[test]
