@@ -2,14 +2,16 @@
 //!
 //! Runs one auto-scaler (or the full paper lineup) through a named setup or
 //! a user-supplied CSV trace and prints the paper's metric table. The
-//! subcommands capture a decision-provenance trace, run the differential
-//! oracles, and run the shared-budget multi-tenant scenario.
+//! subcommands regenerate every section of the paper's evaluation, capture
+//! a decision-provenance trace, run the differential oracles, and run the
+//! shared-budget multi-tenant scenario.
 //!
 //! ```text
 //! USAGE:
 //!   chamulteon-exp [--setup NAME | --trace FILE.csv] [--scaler NAME | --all]
 //!                  [--profile docker|vm] [--interval SECONDS] [--seed N]
 //!                  [--slo SECONDS] [--series]
+//!   chamulteon-exp paper [--out DIR]
 //!   chamulteon-exp trace [--setup NAME] [--scaler NAME] [--faults CLASS]
 //!                  [--out FILE.jsonl] [--tail N]
 //!   chamulteon-exp conformance [--seed N] [--cases N] [--replays N]
@@ -44,8 +46,8 @@
 
 use chamulteon::{ArbitrationPolicy, ChargingModel, RetryPolicy};
 use chamulteon_bench::{
-    run_experiment, run_experiment_observed, run_multi_tenant, setups, ExperimentSpec, FaultClass,
-    MultiTenantSpec, ScalerKind,
+    default_threads, paper, run_experiment, run_experiment_observed, run_multi_tenant, setups,
+    ExperimentSpec, FaultClass, MultiTenantSpec, ScalerKind,
 };
 use chamulteon_conformance::{self as conformance, ConformanceConfig};
 use chamulteon_metrics::render_table;
@@ -180,7 +182,8 @@ scalers: chamulteon cham-reactive cham-proactive cham-fox-ec2 cham-fox-gcp
 per-interval demand/supply series after the table. --interval must be
 at least 1 s and --slo a positive response-time target in seconds.
 
-See also: chamulteon-exp trace --help (decision-provenance JSONL traces),
+See also: chamulteon-exp paper --help (every section of the paper's evaluation),
+chamulteon-exp trace --help (decision-provenance JSONL traces),
 chamulteon-exp conformance --help (differential-oracle verdict) and
 chamulteon-exp multi-tenant --help (shared-budget cluster arbitration).";
 
@@ -296,6 +299,53 @@ fn experiment_main(args: ExperimentArgs) -> ExitCode {
             }
             println!();
         }
+    }
+    ExitCode::SUCCESS
+}
+
+// --- `paper` subcommand -------------------------------------------------
+
+const PAPER_USAGE: &str =
+    "chamulteon-exp paper — regenerate every section of the paper's evaluation
+
+usage: chamulteon-exp paper [--out DIR]
+
+Runs Tables II–V beside the published rows, the Figure 2/3 series, the
+clean load step, the §V-C scalability deviation and the cycles,
+backpressure, forecast and FOX ablations, and writes each section to
+its own text file in DIR (default experiments/). Every run is seeded,
+so every invocation writes the same bytes; EXPERIMENTS.md quotes them.";
+
+struct PaperArgs {
+    out: String,
+}
+
+fn parse_paper(flags: &mut Flags) -> Result<PaperArgs, String> {
+    let mut args = PaperArgs {
+        out: "experiments".to_owned(),
+    };
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--out" => args.out = flags.value(flag)?,
+            other => return Err(format!("unknown flag `{other}`")),
+        }
+    }
+    Ok(args)
+}
+
+fn paper_main(args: PaperArgs) -> ExitCode {
+    let dir = std::path::Path::new(&args.out);
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("error: cannot create {}: {e}", dir.display());
+        return ExitCode::FAILURE;
+    }
+    for (stem, render) in paper::SECTIONS {
+        let path = dir.join(format!("{stem}.txt"));
+        if let Err(e) = std::fs::write(&path, render(default_threads())) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
 }
@@ -679,6 +729,7 @@ fn multi_tenant_main(args: MultiTenantArgs) -> ExitCode {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
+        Some("paper") => command(&argv[1..], PAPER_USAGE, parse_paper, paper_main),
         Some("trace") => command(&argv[1..], TRACE_USAGE, parse_trace, trace_main),
         Some("conformance") => command(
             &argv[1..],
@@ -785,6 +836,14 @@ mod tests {
         assert!(rejection(parse_trace, "--faults meteor").contains("--faults"));
         assert!(rejection(parse_experiment, "--profile lambda").contains("--profile"));
         assert!(rejection(parse_multi_tenant, "--charging azure").contains("--charging"));
+    }
+
+    #[test]
+    fn paper_writes_to_experiments_unless_told_otherwise() {
+        assert_eq!(parse(parse_paper, "").expect("no flags").out, "experiments");
+        let args = parse(parse_paper, "--out elsewhere").expect("--out");
+        assert_eq!(args.out, "elsewhere");
+        assert!(rejection(parse_paper, "--threads 4").contains("--threads"));
     }
 
     #[test]

@@ -167,6 +167,7 @@ impl Driver {
                 .map(|&d| RollingDemandEstimator::new(5, 0.4, d))
                 .collect::<Vec<_>>()
         };
+        let (graph, entry) = (model.graph().clone(), model.entry());
         let chamulteon_with = |config: ChamulteonConfig| {
             Driver::Chamulteon(Box::new(
                 chamulteon::Chamulteon::new(model.clone(), config).with_obs(obs.clone()),
@@ -195,7 +196,9 @@ impl Driver {
                 last_entry_rate: 0.0,
                 degradation: DegradationLog::new(),
                 spike_gates: vec![SpikeGate::new(); model.service_count()],
-                multi: IndependentScalers::homogeneous(demands, || Box::new(React::default())),
+                multi: IndependentScalers::homogeneous(graph, entry, demands, || {
+                    Box::new(React::default())
+                }),
                 obs,
             },
             ScalerKind::Adapt => Driver::Independent {
@@ -203,7 +206,9 @@ impl Driver {
                 last_entry_rate: 0.0,
                 degradation: DegradationLog::new(),
                 spike_gates: vec![SpikeGate::new(); model.service_count()],
-                multi: IndependentScalers::homogeneous(demands, || Box::new(Adapt::default())),
+                multi: IndependentScalers::homogeneous(graph, entry, demands, || {
+                    Box::new(Adapt::default())
+                }),
                 obs,
             },
             ScalerKind::Hist => Driver::Independent {
@@ -211,7 +216,7 @@ impl Driver {
                 last_entry_rate: 0.0,
                 degradation: DegradationLog::new(),
                 spike_gates: vec![SpikeGate::new(); model.service_count()],
-                multi: IndependentScalers::homogeneous(demands, move || {
+                multi: IndependentScalers::homogeneous(graph, entry, demands, move || {
                     Box::new(Hist::with_bucket_length(hist_bucket)) as Box<dyn AutoScaler + Send>
                 }),
                 obs,
@@ -221,7 +226,9 @@ impl Driver {
                 last_entry_rate: 0.0,
                 degradation: DegradationLog::new(),
                 spike_gates: vec![SpikeGate::new(); model.service_count()],
-                multi: IndependentScalers::homogeneous(demands, || Box::new(Reg::default())),
+                multi: IndependentScalers::homogeneous(graph, entry, demands, || {
+                    Box::new(Reg::default())
+                }),
                 obs,
             },
         }

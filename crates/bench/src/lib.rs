@@ -13,12 +13,13 @@
 //!   decisions with the deployment's provisioning delays, then score the
 //!   outcome with the elasticity and user metrics,
 //! * [`setups`] — the four paper experiments (Tables II–V) ready to run,
+//! * [`paper`] — every section of the evaluation rendered as text, which
+//!   `chamulteon-exp paper` writes to `experiments/`,
 //! * [`robustness`] — fault-class presets and the clean-vs-faulted
 //!   comparison runner ([`run_experiment_with_faults`]) for the chaos
 //!   experiments.
 //!
-//! Every bench target under `benches/` regenerates one table or figure;
-//! see DESIGN.md for the index.
+//! DESIGN.md §4 maps each section to the paper's tables and figures.
 //!
 //! # Example
 //!
@@ -61,9 +62,8 @@ pub use experiment::{
     ExperimentOutcome, ExperimentSpec, FaultedOutcome,
 };
 pub use multi_tenant::{run_multi_tenant, MultiTenantOutcome, MultiTenantSpec, TenantReport};
-pub use paper::{run_lineup, run_lineup_seq, run_lineup_with_threads};
+pub use paper::run_lineup;
 pub use pool::{default_threads, parallel_map};
 pub use robustness::{
-    robustness_lineup, robustness_lineup_seq, robustness_lineup_with_threads, robustness_report,
-    robustness_report_recovered, FaultClass,
+    robustness_lineup, robustness_report, robustness_report_recovered, FaultClass,
 };

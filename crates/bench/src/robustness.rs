@@ -14,7 +14,7 @@ use crate::experiment::{
     run_experiment, run_experiment_recovered, run_experiment_with_faults, ExperimentOutcome,
     ExperimentSpec, FaultedOutcome,
 };
-use crate::pool::{default_threads, parallel_map};
+use crate::pool::parallel_map;
 use chamulteon::RetryPolicy;
 use chamulteon_metrics::RobustnessReport;
 use chamulteon_sim::{CorruptionMode, FaultPlan, RecoveryPolicy};
@@ -149,42 +149,19 @@ fn package_report(
 }
 
 /// [`robustness_report`] for the paper's five-scaler lineup under one
-/// fault class — the rows of a chaos table. Cells run on a worker pool
-/// (one per available core); every cell is deterministic in the spec's
-/// seed, so the rows are identical to [`robustness_lineup_seq`].
+/// fault class — the rows of a chaos table — on up to `threads` worker
+/// threads (1 runs it on the calling thread). Every cell is deterministic
+/// in the spec's seed and the pool returns results in input order, so the
+/// rows do not depend on `threads`.
 pub fn robustness_lineup(
-    spec: &ExperimentSpec,
-    class: FaultClass,
-    retry: &RetryPolicy,
-) -> Vec<RobustnessReport> {
-    robustness_lineup_with_threads(spec, class, retry, default_threads())
-}
-
-/// [`robustness_lineup`] with an explicit worker-thread count.
-pub fn robustness_lineup_with_threads(
     spec: &ExperimentSpec,
     class: FaultClass,
     retry: &RetryPolicy,
     threads: usize,
 ) -> Vec<RobustnessReport> {
-    let kinds = ScalerKind::paper_lineup();
-    parallel_map(&kinds, threads, |_, &kind| {
+    parallel_map(&ScalerKind::paper_lineup(), threads, |_, &kind| {
         robustness_report(spec, kind, class, retry)
     })
-}
-
-/// The sequential reference for [`robustness_lineup`]: one scaler at a
-/// time on the calling thread. Kept as the equivalence oracle for the
-/// parallel path.
-pub fn robustness_lineup_seq(
-    spec: &ExperimentSpec,
-    class: FaultClass,
-    retry: &RetryPolicy,
-) -> Vec<RobustnessReport> {
-    ScalerKind::paper_lineup()
-        .into_iter()
-        .map(|kind| robustness_report(spec, kind, class, retry))
-        .collect()
 }
 
 #[cfg(test)]
@@ -228,13 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_robustness_lineup_matches_sequential() {
+    fn robustness_lineup_does_not_depend_on_the_thread_count() {
         let spec = crate::setups::smoke_test();
         let retry = RetryPolicy::default();
         let class = FaultClass::ActuationFailures;
         assert_eq!(
-            robustness_lineup_with_threads(&spec, class, &retry, 3),
-            robustness_lineup_seq(&spec, class, &retry)
+            robustness_lineup(&spec, class, &retry, 3),
+            robustness_lineup(&spec, class, &retry, 1)
         );
     }
 }

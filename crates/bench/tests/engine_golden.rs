@@ -30,8 +30,9 @@ use chamulteon_bench::des_scale::headline_case;
 use chamulteon_bench::robustness::FaultClass;
 use chamulteon_bench::setups::{bibsonomy_large, bibsonomy_small, smoke_test, wikipedia_vm};
 use chamulteon_bench::{
-    robustness_lineup, run_des_scale_case, run_experiment, run_experiment_recovered, run_lineup,
-    run_multi_tenant, DesScaleCase, MultiTenantSpec, ScalerKind,
+    default_threads, robustness_lineup, run_des_scale_case, run_experiment,
+    run_experiment_recovered, run_lineup, run_multi_tenant, DesScaleCase, MultiTenantSpec,
+    ScalerKind,
 };
 use chamulteon_demand::MonitoringSample;
 use chamulteon_obs::Obs;
@@ -102,11 +103,11 @@ fn evaluation_grid_reproduces_its_digest() {
     let retry = RetryPolicy::default();
     let robustness: Vec<_> = FaultClass::ALL
         .iter()
-        .map(|&class| robustness_lineup(&spec, class, &retry))
+        .map(|&class| robustness_lineup(&spec, class, &retry, default_threads()))
         .collect();
     let text = format!(
         "EvaluationGrid {{ lineup: {:?}, robustness: {:?} }}",
-        run_lineup(&spec),
+        run_lineup(&spec, default_threads()),
         robustness
     );
     let mut got = FNV_OFFSET;

@@ -11,9 +11,11 @@
 //! ```
 //!
 //! where `n(i)` is the instance count and `s(i)` the per-instance service
-//! rate of service `i`.
+//! rate of service `i`. [`chain_rates`] applies the rule along the
+//! model's invocation graph, of which the paper's chain is one case.
 
 use crate::input::{AutoScaler, ScalerInput};
+use chamulteon_perfmodel::InvocationGraph;
 
 /// The interval policy shared with [`ScalerInput::new`]: non-finite or
 /// non-positive intervals mean "one second", never a near-zero divisor.
@@ -25,47 +27,65 @@ fn sanitize_interval(interval: f64) -> f64 {
     }
 }
 
-/// Computes the per-service input rates along a chain from the measured
-/// entry rate — the paper's `r(i)` formula.
+/// Computes the per-service input rates from the measured entry rate —
+/// the paper's `r(i)` formula, walked along `graph`.
 ///
 /// `instances[i]` and `service_demands[i]` describe service `i`; the
-/// per-instance service rate is `s(i) = 1 / demand`. The returned vector
-/// has one rate per service.
+/// per-instance service rate is `s(i) = 1 / demand`. The `entry` service
+/// is offered the measured rate, and in the graph's topological order
+/// every service passes on what its instances can serve, `min(r, n/D)`,
+/// times each call's multiplicity. A service is therefore offered the sum
+/// over its callers `c` of `m(c→s)·min(r_c, n_c/D_c)`, which on a chain
+/// of single calls is `r(i) = min(r(i−1), n(i−1)·s(i−1))`. The returned
+/// vector has one rate per service of the graph; a service the entry
+/// does not reach is offered 0.
 ///
-/// Degenerate tiers must not poison the chain: a non-finite or negative
-/// measured rate is zero load, and a non-finite or non-positive demand is
-/// treated as unlimited capacity (the tier imposes no cap) — the same
-/// forgiving validation [`ScalerInput::new`] applies to its tuple. Without
-/// that, an `inf` demand would zero every downstream rate and an `inf`
-/// measured rate would propagate to every tier.
+/// Degenerate tiers must not poison the graph: a non-finite or negative
+/// measured rate is zero load, and a non-finite or non-positive demand,
+/// or a missing demand or instance count, is treated as unlimited
+/// capacity (the tier imposes no cap) — the same forgiving validation
+/// [`ScalerInput::new`] applies to its tuple. Without that, an `inf`
+/// demand would zero every downstream rate and an `inf` measured rate
+/// would propagate to every tier.
 ///
 /// # Examples
 ///
 /// ```
+/// use chamulteon_perfmodel::InvocationGraph;
 /// use chamulteon_scalers::chain_rates;
 ///
 /// // Validation (10 req/s/instance, 5 instances) caps the data tier at 50.
-/// let rates = chain_rates(100.0, &[20, 5, 10], &[0.059, 0.1, 0.04]);
+/// let chain = InvocationGraph::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+/// let rates = chain_rates(&chain, 0, 100.0, &[20, 5, 10], &[0.059, 0.1, 0.04]);
 /// assert_eq!(rates[0], 100.0);
 /// assert!((rates[2] - 50.0).abs() < 1e-9);
 /// ```
-pub fn chain_rates(measured_rate: f64, instances: &[u32], service_demands: &[f64]) -> Vec<f64> {
-    let count = instances.len().min(service_demands.len());
-    let mut rates = Vec::with_capacity(count);
-    let mut upstream = if measured_rate.is_finite() {
-        measured_rate.max(0.0)
-    } else {
-        0.0
-    };
-    for i in 0..count {
-        rates.push(upstream);
-        let demand = service_demands[i];
-        let capacity = if demand.is_finite() && demand > 0.0 {
-            f64::from(instances[i]) / demand
+pub fn chain_rates(
+    graph: &InvocationGraph,
+    entry: usize,
+    measured_rate: f64,
+    instances: &[u32],
+    service_demands: &[f64],
+) -> Vec<f64> {
+    let mut rates = vec![0.0; graph.service_count()];
+    if let Some(rate) = rates.get_mut(entry) {
+        *rate = if measured_rate.is_finite() {
+            measured_rate.max(0.0)
         } else {
-            f64::INFINITY
+            0.0
         };
-        upstream = upstream.min(capacity);
+    }
+    for &service in graph.topological_order() {
+        let capacity = match (instances.get(service), service_demands.get(service)) {
+            (Some(&n), Some(&demand)) if demand.is_finite() && demand > 0.0 => {
+                f64::from(n) / demand
+            }
+            _ => f64::INFINITY,
+        };
+        let passed = rates[service].min(capacity);
+        for &(callee, multiplicity) in graph.calls_from(service) {
+            rates[callee] += multiplicity * passed;
+        }
     }
     rates
 }
@@ -74,6 +94,8 @@ pub fn chain_rates(measured_rate: f64, instances: &[u32], service_demands: &[f64
 /// adjustment — the paper's extension of the open-source scalers to
 /// multi-service applications.
 pub struct IndependentScalers {
+    graph: InvocationGraph,
+    entry: usize,
     scalers: Vec<Box<dyn AutoScaler + Send>>,
     service_demands: Vec<f64>,
 }
@@ -81,6 +103,8 @@ pub struct IndependentScalers {
 impl Clone for IndependentScalers {
     fn clone(&self) -> Self {
         IndependentScalers {
+            graph: self.graph.clone(),
+            entry: self.entry,
             scalers: self.scalers.iter().map(|s| s.clone_box()).collect(),
             service_demands: self.service_demands.clone(),
         }
@@ -90,6 +114,8 @@ impl Clone for IndependentScalers {
 impl std::fmt::Debug for IndependentScalers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IndependentScalers")
+            .field("graph", &self.graph)
+            .field("entry", &self.entry)
             .field(
                 "scalers",
                 &self.scalers.iter().map(|s| s.name()).collect::<Vec<_>>(),
@@ -100,7 +126,8 @@ impl std::fmt::Debug for IndependentScalers {
 }
 
 impl IndependentScalers {
-    /// Creates the deployment from one scaler per service and the nominal
+    /// Creates the deployment over the application's invocation graph and
+    /// entry service from one scaler per service and the nominal
     /// per-service demands (used for the capacity term of the chain
     /// formula when no estimate is supplied).
     ///
@@ -110,12 +137,23 @@ impl IndependentScalers {
     ///
     /// # Panics
     ///
-    /// Panics if the two vectors differ in length or are empty.
-    pub fn new(scalers: Vec<Box<dyn AutoScaler + Send>>, service_demands: Vec<f64>) -> Self {
+    /// Panics if the two vectors differ in length or from the graph's
+    /// service count, or are empty.
+    pub fn new(
+        graph: InvocationGraph,
+        entry: usize,
+        scalers: Vec<Box<dyn AutoScaler + Send>>,
+        service_demands: Vec<f64>,
+    ) -> Self {
         assert_eq!(
             scalers.len(),
             service_demands.len(),
             "one scaler per service required"
+        );
+        assert_eq!(
+            scalers.len(),
+            graph.service_count(),
+            "one scaler per service of the graph required"
         );
         assert!(!scalers.is_empty(), "at least one service required");
         let service_demands = service_demands
@@ -123,6 +161,8 @@ impl IndependentScalers {
             .map(|d| if d.is_finite() && d > 0.0 { d } else { 0.001 })
             .collect();
         IndependentScalers {
+            graph,
+            entry,
             scalers,
             service_demands,
         }
@@ -130,12 +170,17 @@ impl IndependentScalers {
 
     /// Convenience: the same scaler type for every service, built by a
     /// factory closure.
-    pub fn homogeneous<F>(service_demands: Vec<f64>, factory: F) -> Self
+    pub fn homogeneous<F>(
+        graph: InvocationGraph,
+        entry: usize,
+        service_demands: Vec<f64>,
+        factory: F,
+    ) -> Self
     where
         F: Fn() -> Box<dyn AutoScaler + Send>,
     {
         let scalers = (0..service_demands.len()).map(|_| factory()).collect();
-        IndependentScalers::new(scalers, service_demands)
+        IndependentScalers::new(graph, entry, scalers, service_demands)
     }
 
     /// Number of services.
@@ -150,7 +195,7 @@ impl IndependentScalers {
     }
 
     /// One scaling round: distributes the measured entry rate along the
-    /// chain, invokes every per-service scaler, and returns the instance
+    /// graph ([`chain_rates`]), invokes every per-service scaler, and returns the instance
     /// deltas.
     ///
     /// `estimated_demands` are the per-service demand estimates fed to the
@@ -201,7 +246,7 @@ impl IndependentScalers {
                     .unwrap_or(self.service_demands[i])
             })
             .collect();
-        let rates = chain_rates(measured_rate, instances, &demands);
+        let rates = chain_rates(&self.graph, self.entry, measured_rate, instances, &demands);
         self.scalers
             .iter_mut()
             .enumerate()
@@ -231,17 +276,30 @@ impl IndependentScalers {
 mod tests {
     use super::*;
     use crate::react::React;
+    use chamulteon_perfmodel::topology::{self, TopologyFamily};
+
+    /// `0 → 1 → … → n−1`, single calls: the paper's chain.
+    fn chain(n: usize) -> InvocationGraph {
+        InvocationGraph::from_edges(n, (1..n).map(|i| (i - 1, i, 1.0))).unwrap()
+    }
+
+    /// The paper's three tiers, one React per service.
+    fn paper_reacts() -> IndependentScalers {
+        IndependentScalers::homogeneous(chain(3), 0, vec![0.059, 0.1, 0.04], || {
+            Box::new(React::default())
+        })
+    }
 
     #[test]
     fn chain_rates_pass_through_without_bottleneck() {
-        let rates = chain_rates(50.0, &[10, 10, 10], &[0.059, 0.1, 0.04]);
+        let rates = chain_rates(&chain(3), 0, 50.0, &[10, 10, 10], &[0.059, 0.1, 0.04]);
         assert_eq!(rates, vec![50.0, 50.0, 50.0]);
     }
 
     #[test]
     fn chain_rates_throttle_downstream() {
         // UI with 1 instance caps at ~16.9.
-        let rates = chain_rates(100.0, &[1, 10, 10], &[0.059, 0.1, 0.04]);
+        let rates = chain_rates(&chain(3), 0, 100.0, &[1, 10, 10], &[0.059, 0.1, 0.04]);
         assert_eq!(rates[0], 100.0);
         assert!((rates[1] - 1.0 / 0.059).abs() < 1e-9);
         assert!((rates[2] - 1.0 / 0.059).abs() < 1e-9);
@@ -249,7 +307,7 @@ mod tests {
 
     #[test]
     fn chain_rates_monotone_nonincreasing() {
-        let rates = chain_rates(500.0, &[3, 7, 2], &[0.059, 0.1, 0.04]);
+        let rates = chain_rates(&chain(3), 0, 500.0, &[3, 7, 2], &[0.059, 0.1, 0.04]);
         for w in rates.windows(2) {
             assert!(w[1] <= w[0] + 1e-9);
         }
@@ -257,11 +315,18 @@ mod tests {
 
     #[test]
     fn chain_rates_degenerate_inputs() {
-        assert!(chain_rates(-10.0, &[1], &[0.1]).iter().all(|&r| r == 0.0));
-        assert_eq!(chain_rates(10.0, &[], &[]).len(), 0);
+        assert!(chain_rates(&chain(1), 0, -10.0, &[1], &[0.1])
+            .iter()
+            .all(|&r| r == 0.0));
+        assert_eq!(chain_rates(&chain(0), 0, 10.0, &[], &[]).len(), 0);
         // Zero demand treated as unlimited capacity.
-        let rates = chain_rates(10.0, &[1, 1], &[0.0, 0.1]);
+        let rates = chain_rates(&chain(2), 0, 10.0, &[1, 1], &[0.0, 0.1]);
         assert_eq!(rates[1], 10.0);
+        // An entry outside the graph offers nothing to anyone.
+        assert_eq!(
+            chain_rates(&chain(2), 5, 10.0, &[1, 1], &[0.1, 0.1]),
+            [0.0; 2]
+        );
     }
 
     #[test]
@@ -269,7 +334,7 @@ mod tests {
         // Regression: a non-finite measured rate used to flow through
         // `.max(0.0)` untouched, forwarding `inf` to every tier.
         for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
-            let rates = chain_rates(bad, &[5, 5], &[0.1, 0.1]);
+            let rates = chain_rates(&chain(2), 0, bad, &[5, 5], &[0.1, 0.1]);
             assert!(
                 rates.iter().all(|&r| r == 0.0),
                 "rate {bad} leaked into the chain: {rates:?}"
@@ -279,7 +344,7 @@ mod tests {
         // silently zeroing every downstream rate. An invalid demand now
         // means "no cap from this tier", like zero demand already did.
         for bad in [f64::INFINITY, f64::NAN, -0.1] {
-            let rates = chain_rates(40.0, &[5, 5, 5], &[0.1, bad, 0.1]);
+            let rates = chain_rates(&chain(3), 0, 40.0, &[5, 5, 5], &[0.1, bad, 0.1]);
             assert!(
                 rates.iter().all(|r| r.is_finite()),
                 "demand {bad} produced non-finite rates: {rates:?}"
@@ -289,8 +354,78 @@ mod tests {
     }
 
     #[test]
+    fn relabelling_the_paper_chain_permutes_its_rates() {
+        // The paper chain declared as `data, ui, validation`: ui (1) calls
+        // validation (2), which calls data (0); the entry is ui. Its one
+        // instance lets 1/0.059 ≈ 16.9 req/s through to both tiers below.
+        let relabelled = InvocationGraph::from_edges(3, [(1, 2, 1.0), (2, 0, 1.0)]).unwrap();
+        let rates = chain_rates(&relabelled, 1, 100.0, &[10, 1, 10], &[0.04, 0.059, 0.1]);
+        let declared = chain_rates(&chain(3), 0, 100.0, &[1, 10, 10], &[0.059, 0.1, 0.04]);
+        assert_eq!(rates, [declared[2], declared[0], declared[1]]);
+        assert_eq!(rates[1], 100.0);
+        assert!((rates[0] - 1.0 / 0.059).abs() < 1e-9, "{rates:?}");
+    }
+
+    /// The offered rate of `service`, straight from the definition: the
+    /// measured rate at the entry plus, over every edge into it, the
+    /// multiplicity times what the caller passes on. Recursive, no order.
+    fn offered_oracle(
+        edges: &[(usize, usize, f64)],
+        entry: usize,
+        measured: f64,
+        capacity: &[f64],
+        service: usize,
+    ) -> f64 {
+        let own = if service == entry { measured } else { 0.0 };
+        own + edges
+            .iter()
+            .filter(|&&(_, to, _)| to == service)
+            .map(|&(from, _, m)| {
+                m * offered_oracle(edges, entry, measured, capacity, from).min(capacity[from])
+            })
+            .sum::<f64>()
+    }
+
+    #[test]
+    fn fan_and_diamond_rates_match_the_brute_force_oracle() {
+        for family in [TopologyFamily::Fan, TopologyFamily::Diamond] {
+            for seed in 0..4u64 {
+                let n = 10;
+                // Relabel by reversing the indices, so the stored order is
+                // not the index order and the entry is the last service.
+                let edges: Vec<(usize, usize, f64)> = topology::edges(family, n, seed)
+                    .into_iter()
+                    .map(|(from, to, m)| (n - 1 - from, n - 1 - to, m))
+                    .collect();
+                let graph = InvocationGraph::from_edges(n, edges.iter().copied()).unwrap();
+                let entry = n - 1;
+                let instances: Vec<u32> = (0..10).map(|i| 1 + (i * 7 + 3) % 5).collect();
+                let demands: Vec<f64> = (0..10).map(|i| 0.02 + 0.03 * f64::from(i % 4)).collect();
+                let capacity: Vec<f64> = instances
+                    .iter()
+                    .zip(&demands)
+                    .map(|(&k, &d)| f64::from(k) / d)
+                    .collect();
+                for measured in [5.0, 80.0, 400.0] {
+                    let got = chain_rates(&graph, entry, measured, &instances, &demands);
+                    for (s, &rate) in got.iter().enumerate() {
+                        let want = offered_oracle(&edges, entry, measured, &capacity, s);
+                        assert!(
+                            (rate - want).abs() <= 1e-9 * want.max(1.0),
+                            "{} seed {seed} at {measured} req/s: service {s} offered {rate}, oracle {want}",
+                            family.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn nominal_demands_are_sanitized_at_construction() {
         let mut multi = IndependentScalers::new(
+            chain(3),
+            0,
             vec![
                 Box::new(React::default()),
                 Box::new(React::default()),
@@ -310,10 +445,8 @@ mod tests {
 
     #[test]
     fn nan_interval_behaves_like_one_second() {
-        let mut bad =
-            IndependentScalers::homogeneous(vec![0.059, 0.1, 0.04], || Box::new(React::default()));
-        let mut good =
-            IndependentScalers::homogeneous(vec![0.059, 0.1, 0.04], || Box::new(React::default()));
+        let mut bad = paper_reacts();
+        let mut good = paper_reacts();
         // Regression: a NaN interval used to become `1e-9`, inflating 100
         // requests into 1e11 req/s. It now follows the ScalerInput policy
         // (1 s), making the two calls identical.
@@ -324,8 +457,7 @@ mod tests {
 
     #[test]
     fn independent_scalers_scale_each_tier() {
-        let mut multi =
-            IndependentScalers::homogeneous(vec![0.059, 0.1, 0.04], || Box::new(React::default()));
+        let mut multi = paper_reacts();
         assert_eq!(multi.service_count(), 3);
         assert_eq!(multi.name(), "react");
         // 100 req/s at the entry; all tiers start at 1.
@@ -340,7 +472,8 @@ mod tests {
 
     #[test]
     fn demand_estimates_override_nominal() {
-        let mut multi = IndependentScalers::homogeneous(vec![0.1], || Box::new(React::default()));
+        let mut multi =
+            IndependentScalers::homogeneous(chain(1), 0, vec![0.1], || Box::new(React::default()));
         // Estimated demand twice the nominal: double the instances needed.
         let with_estimate = multi.decide(0.0, 60.0, 600, &[1], &[0.2]);
         multi.reset();
@@ -351,15 +484,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "one scaler per service")]
     fn mismatched_lengths_panic() {
-        let _ = IndependentScalers::new(vec![Box::new(React::default())], vec![0.1, 0.2]);
+        let _ = IndependentScalers::new(
+            chain(2),
+            0,
+            vec![Box::new(React::default())],
+            vec![0.1, 0.2],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one scaler per service of the graph")]
+    fn a_graph_of_another_size_panics() {
+        let _ = IndependentScalers::new(chain(2), 0, vec![Box::new(React::default())], vec![0.1]);
     }
 
     #[test]
     fn decide_rate_matches_decide_and_sanitizes() {
-        let mut by_count =
-            IndependentScalers::homogeneous(vec![0.059, 0.1, 0.04], || Box::new(React::default()));
-        let mut by_rate =
-            IndependentScalers::homogeneous(vec![0.059, 0.1, 0.04], || Box::new(React::default()));
+        let mut by_count = paper_reacts();
+        let mut by_rate = paper_reacts();
         let a = by_count.decide(0.0, 60.0, 6000, &[1, 1, 1], &[]);
         let b = by_rate.decide_rate(0.0, 60.0, 100.0, &[1, 1, 1], &[]);
         assert_eq!(a, b);

@@ -9,6 +9,7 @@
     clippy::cast_sign_loss,
     clippy::cast_precision_loss
 )]
+use chamulteon_perfmodel::InvocationGraph;
 use chamulteon_scalers::{
     chain_rates, Adapt, AutoScaler, Hist, IndependentScalers, React, Reg, ScalerInput,
 };
@@ -112,7 +113,8 @@ proptest! {
         demands in prop::collection::vec(0.01f64..0.5, 1..6),
     ) {
         let len = instances.len().min(demands.len());
-        let rates = chain_rates(rate, &instances[..len], &demands[..len]);
+        let chain = InvocationGraph::from_edges(len, (1..len).map(|i| (i - 1, i, 1.0))).unwrap();
+        let rates = chain_rates(&chain, 0, rate, &instances[..len], &demands[..len]);
         prop_assert_eq!(rates.len(), len);
         for w in rates.windows(2) {
             prop_assert!(w[1] <= w[0] + 1e-9);
@@ -131,6 +133,8 @@ proptest! {
         rounds in 1usize..20,
     ) {
         let mut multi = IndependentScalers::homogeneous(
+            InvocationGraph::from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]).unwrap(),
+            0,
             vec![0.059, 0.1, 0.04],
             || Box::new(React::default()),
         );

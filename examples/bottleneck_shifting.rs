@@ -4,92 +4,13 @@
 //! stopped throttling the traffic, so a load step ripples tier by tier —
 //! while Chamulteon scales all tiers in the same decision round.
 //!
+//! Prints the load-step section of the paper's evaluation, the text
+//! `chamulteon-exp paper` writes to `experiments/bottleneck_shifting.txt`.
+//!
 //! Run with: `cargo run --release --example bottleneck_shifting`
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
-use chamulteon_repro::bench::{run_experiment, ExperimentSpec, ScalerKind};
-use chamulteon_repro::perfmodel::ApplicationModel;
-use chamulteon_repro::sim::{DeploymentProfile, SloPolicy};
-use chamulteon_repro::workload::LoadTrace;
-
-/// A load step: quiet, then a sustained jump to 300 req/s.
-fn step_spec() -> ExperimentSpec {
-    let mut rates = vec![20.0; 5];
-    rates.extend(vec![300.0; 15]);
-    ExperimentSpec {
-        name: "Load step".into(),
-        trace: LoadTrace::new(60.0, rates).expect("valid trace"),
-        model: ApplicationModel::paper_benchmark(),
-        profile: DeploymentProfile::docker(),
-        slo: SloPolicy::default(),
-        scaling_interval: 60.0,
-        seed: 11,
-        warmup_days: 0, // a step is unforecastable; this isolates reaction
-        hist_bucket: 300.0,
-    }
-}
-
-/// First time the tier's supply reaches the capacity the step requires.
-fn adequate_at(
-    outcome: &chamulteon_repro::bench::ExperimentOutcome,
-    service: usize,
-    needed: u32,
-) -> Option<f64> {
-    let mut t = 0.0;
-    while t < outcome.result.duration {
-        if outcome.result.supply_at(service, t) >= needed {
-            return Some(t);
-        }
-        t += 1.0;
-    }
-    None
-}
+use chamulteon_repro::bench::{default_threads, paper};
 
 fn main() {
-    let spec = step_spec();
-    // Instances each tier needs for 300 req/s at 80% utilization.
-    let needed = [
-        (300.0 * 0.059 / 0.8_f64).ceil() as u32,
-        (300.0 * 0.1 / 0.8_f64).ceil() as u32,
-        (300.0 * 0.04 / 0.8_f64).ceil() as u32,
-    ];
-    println!("Load step 20 -> 300 req/s at t = 300 s.");
-    println!("Adequate capacity per tier: {needed:?} instances.\n");
-
-    for kind in [ScalerKind::Reg, ScalerKind::React, ScalerKind::Chamulteon] {
-        let outcome = run_experiment(&spec, kind);
-        let times: Vec<Option<f64>> = (0..3)
-            .map(|s| adequate_at(&outcome, s, needed[s]))
-            .collect();
-        println!("{}:", kind.name());
-        for (s, label) in ["ui", "validation", "data"].iter().enumerate() {
-            match times[s] {
-                Some(t) => println!("  {label:<11} adequate at t = {t:>4.0} s"),
-                None => println!("  {label:<11} never adequate"),
-            }
-        }
-        // Shifting indicator: spread between the first and last tier
-        // reaching adequacy.
-        let known: Vec<f64> = times.iter().flatten().copied().collect();
-        if known.len() == 3 {
-            let spread = known.iter().cloned().fold(f64::MIN, f64::max)
-                - known.iter().cloned().fold(f64::MAX, f64::min);
-            println!("  staggering between tiers: {spread:.0} s");
-        }
-        println!(
-            "  SLO violations {:.1}%, Apdex {:.1}%\n",
-            outcome.report.slo_violations, outcome.report.apdex
-        );
-    }
-    println!("Expected: the independent scalers stagger tier scale-ups (each waits for");
-    println!("its predecessor's throttle to lift); Chamulteon sizes every tier in the");
-    println!("same round, so its staggering is bounded by one provisioning delay.");
+    print!("{}", paper::load_step(default_threads()));
 }

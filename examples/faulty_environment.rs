@@ -17,7 +17,7 @@
 )]
 use chamulteon_repro::bench::robustness::{robustness_lineup, FaultClass};
 use chamulteon_repro::bench::setups::smoke_test;
-use chamulteon_repro::bench::{run_experiment_with_faults, ScalerKind};
+use chamulteon_repro::bench::{default_threads, run_experiment_with_faults, ScalerKind};
 use chamulteon_repro::core::{DegradationReason, RetryPolicy};
 use chamulteon_repro::metrics::render_robustness_table;
 use chamulteon_repro::sim::{CorruptionMode, FaultPlan};
@@ -29,7 +29,7 @@ fn main() {
     // One table per fault class: clean vs faulted SLO violations, the
     // number of injected faults and of degraded decisions.
     for class in FaultClass::ALL {
-        let reports = robustness_lineup(&spec, class, &retry);
+        let reports = robustness_lineup(&spec, class, &retry, default_threads());
         let title = format!("Faults: {} ({})", class.name(), spec.name);
         println!("{}", render_robustness_table(&title, &reports));
     }

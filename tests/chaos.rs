@@ -12,7 +12,7 @@ use chamulteon_bench::robustness::{
     robustness_lineup, robustness_report, robustness_report_recovered, FaultClass,
 };
 use chamulteon_bench::setups::wikipedia_docker;
-use chamulteon_bench::{run_experiment, run_experiment_with_faults, ScalerKind};
+use chamulteon_bench::{default_threads, run_experiment, run_experiment_with_faults, ScalerKind};
 use chamulteon_sim::RecoveryPolicy;
 
 /// Slack on competitor comparisons, in percentage points of SLO
@@ -60,7 +60,7 @@ fn chamulteon_degrades_no_worse_than_competitors() {
     let spec = wikipedia_docker();
     let retry = RetryPolicy::default();
     for class in FaultClass::ALL {
-        let reports = robustness_lineup(&spec, class, &retry);
+        let reports = robustness_lineup(&spec, class, &retry, default_threads());
         let cham = reports
             .iter()
             .find(|r| r.scaler == "chamulteon")

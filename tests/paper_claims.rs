@@ -1,7 +1,7 @@
 //! The paper's headline claims (§V-D), asserted as tests on fast
-//! experiment scenarios. The full-size evidence lives in the bench targets
-//! and EXPERIMENTS.md; these tests keep the claims from silently
-//! regressing.
+//! experiment scenarios. The full-size evidence lives in the files
+//! `chamulteon-exp paper` writes and EXPERIMENTS.md quotes; these tests
+//! keep the claims from silently regressing.
 
 // Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
