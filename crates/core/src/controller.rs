@@ -1574,7 +1574,7 @@ mod tests {
         for interval in [0.0, -60.0, f64::NAN] {
             let mut c = controller(ChamulteonConfig::proactive_only());
             c.preload_history(interval, &rates);
-            // Panic-freedom is the assertion (R1); the clamped step keeps
+            // Not panicking is the assertion; the clamped step keeps
             // the preloaded history usable.
             let targets = c.tick(60.0, &samples_for(50.0, &[5, 9, 4]));
             assert_eq!(targets.len(), 3);

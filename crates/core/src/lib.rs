@@ -55,6 +55,7 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately rejects NaN
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::as_conversions, unreachable_pub))]
 
 /// Algorithm 1 of the paper: the queueing-theoretic decision logic.
 pub mod algorithm;

@@ -112,7 +112,7 @@ impl Histogram {
         if self.count == 0 {
             f64::NAN
         } else {
-            // audit:allow(lossy-cast): counts fit f64's 53-bit integer range
+            // Counts fit f64's 53-bit integer range.
             self.sum / self.count as f64
         }
     }

@@ -49,7 +49,7 @@ impl InvocationGraph {
                 }
             }
             if from == to {
-                // audit:allow(lossy-cast): small index reported in a diagnostic
+                // A small index, reported in a diagnostic.
                 #[allow(clippy::cast_precision_loss)]
                 let value = from as f64;
                 return Err(ModelError::InvalidField {

@@ -76,7 +76,6 @@ impl ApplicationModel {
     /// each allowed 1–200 instances and starting at 1.
     #[allow(clippy::expect_used)] // constants in try_paper_benchmark are statically valid
     pub fn paper_benchmark() -> Self {
-        // audit:allow(panic-freedom): constants below are statically valid
         Self::try_paper_benchmark().expect("benchmark model is valid")
     }
 

@@ -17,7 +17,12 @@ use crate::mmn::MmnQueue;
 /// bounds (non-positive and NaN map to 0, overflow to `u32::MAX`). This is
 /// the designated place where capacity math narrows a float to an integer
 /// count, so every call site inherits the range check.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+// The value is checked non-negative and < u32::MAX before the cast.
+#[allow(
+    clippy::as_conversions,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss
+)]
 #[must_use]
 pub fn saturating_f64_to_u32(value: f64) -> u32 {
     if !(value > 0.0) {
@@ -25,7 +30,6 @@ pub fn saturating_f64_to_u32(value: f64) -> u32 {
     } else if value >= f64::from(u32::MAX) {
         u32::MAX
     } else {
-        // audit:allow(lossy-cast): value checked non-negative and < u32::MAX above
         value as u32
     }
 }

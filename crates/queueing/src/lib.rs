@@ -10,9 +10,7 @@
 //!   waiting probability, expected response time, queue lengths),
 //! * [`capacity`] — inverse solvers ("how many instances do I need?") used
 //!   both by the auto-scalers and by the ground-truth demand curve of the
-//!   elasticity metrics,
-//! * [`network`] — open tandem networks of M/M/n stations for the
-//!   end-to-end mean response time of a chain.
+//!   elasticity metrics.
 //!
 //! # Example
 //!
@@ -29,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately rejects NaN
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::as_conversions, unreachable_pub))]
 
 /// Quantized-key memoization for the demand curve's capacity solver.
 pub mod cache;
@@ -40,8 +39,6 @@ pub mod erlang;
 pub mod error;
 /// The M/M/n/∞ station model used for every micro-service.
 pub mod mmn;
-/// Open tandem networks of M/M/n stations.
-pub mod network;
 
 pub use cache::{CacheStats, CapacityCache};
 pub use capacity::{
@@ -51,4 +48,3 @@ pub use capacity::{
 pub use erlang::{erlang_b, erlang_c, ErlangSweep};
 pub use error::QueueingError;
 pub use mmn::MmnQueue;
-pub use network::{StationSpec, TandemNetwork};

@@ -1,5 +1,5 @@
-//! JSON output for `xtask audit --json` and baseline diffing for the CI
-//! gate.
+//! The JSON report `xtask audit --out` writes and baseline diffing for
+//! the CI gate.
 //!
 //! The document is written and read by the workspace's
 //! [`chamulteon_obs::json`] codec and is deliberately boring: fixed key
@@ -137,12 +137,7 @@ mod tests {
     fn sample_report() -> AuditReport {
         AuditReport {
             findings: vec![
-                finding(
-                    RuleId::PanicFreedom,
-                    "crates/a/src/lib.rs",
-                    3,
-                    "no \"unwrap\"",
-                ),
+                finding(RuleId::NanSafety, "crates/a/src/lib.rs", 3, "no \"unwrap\""),
                 finding(RuleId::Determinism, "crates/b/src/lib.rs", 9, "hash order"),
             ],
             ledger: vec![Suppression {
@@ -162,7 +157,7 @@ mod tests {
             keys,
             vec![
                 (
-                    "R1".to_owned(),
+                    "R2".to_owned(),
                     "crates/a/src/lib.rs".to_owned(),
                     "no \"unwrap\"".to_owned()
                 ),
@@ -222,7 +217,7 @@ mod tests {
         // A second occurrence of an already-baselined key is new.
         let mut doubled = report.findings.clone();
         doubled.push(finding(
-            RuleId::PanicFreedom,
+            RuleId::NanSafety,
             "crates/a/src/lib.rs",
             30,
             "no \"unwrap\"",

@@ -5,7 +5,7 @@
 //! spellings are accepted:
 //!
 //! ```text
-//! // audit:allow(lossy-cast): counters fit f64's 53-bit integer range
+//! // audit:allow(nan-safety): both operands are checked finite above
 //! // audit: allow(R6, "iteration feeds a BTreeMap two statements later")
 //! ```
 //!
@@ -222,10 +222,11 @@ mod tests {
 
     #[test]
     fn legacy_syntax_with_trailing_reason() {
-        let m = rust_markers("let x = y as f64; // audit:allow(lossy-cast): counts fit f64");
+        let m =
+            rust_markers("let o = a.partial_cmp(&b).unwrap(); // audit:allow(nan-safety): finite");
         assert_eq!(m.len(), 1);
-        assert_eq!(m[0].rule, Some(RuleId::LossyCast));
-        assert_eq!(m[0].reason.as_deref(), Some("counts fit f64"));
+        assert_eq!(m[0].rule, Some(RuleId::NanSafety));
+        assert_eq!(m[0].reason.as_deref(), Some("finite"));
     }
 
     #[test]
@@ -274,7 +275,7 @@ mod tests {
     #[test]
     fn scan_file_splits_findings_from_ledger() {
         let lines = [
-            "// audit:allow(R1): startup-only path",
+            "// audit:allow(R2): inputs checked finite",
             "// audit:allow(R6)",
             "// audit:allow(nonsense): reason present",
             "let ok = 1;",
@@ -285,9 +286,9 @@ mod tests {
             CommentStyle::Rust,
         );
         assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger[0].rule, RuleId::PanicFreedom);
+        assert_eq!(ledger[0].rule, RuleId::NanSafety);
         assert_eq!(ledger[0].line, 1);
-        assert_eq!(ledger[0].reason, "startup-only path");
+        assert_eq!(ledger[0].reason, "inputs checked finite");
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().all(|f| f.rule == RuleId::SuppressionLedger));
         assert!(findings[0].message.contains("no justification"));
@@ -297,27 +298,27 @@ mod tests {
     #[test]
     fn line_allows_accepts_both_syntaxes() {
         assert!(line_allows(
-            "// audit:allow(panic-freedom): why",
+            "// audit:allow(nan-safety): why",
             CommentStyle::Rust,
-            RuleId::PanicFreedom
+            RuleId::NanSafety
         ));
         assert!(line_allows(
-            "// audit: allow(R1, \"why\")",
+            "// audit: allow(R2, \"why\")",
             CommentStyle::Rust,
-            RuleId::PanicFreedom
+            RuleId::NanSafety
         ));
         // Reasonless markers still suppress; R9 reports them separately,
         // so the diagnostic points at the real problem (the missing
         // reason), not a phantom unsuppressed finding.
         assert!(line_allows(
-            "// audit:allow(R1)",
-            CommentStyle::Rust,
-            RuleId::PanicFreedom
-        ));
-        assert!(!line_allows(
-            "// audit:allow(R1): why",
+            "// audit:allow(R2)",
             CommentStyle::Rust,
             RuleId::NanSafety
+        ));
+        assert!(!line_allows(
+            "// audit:allow(R2): why",
+            CommentStyle::Rust,
+            RuleId::Determinism
         ));
     }
 }

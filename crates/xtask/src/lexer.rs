@@ -1,9 +1,8 @@
 //! A string/char/comment-aware Rust lexer for the audit engine.
 //!
-//! The line rules used to run on a regex-ish "stripped" view of each file;
-//! that view could not distinguish a `panic!` in code from one in a raw
-//! string, nor see an `as\n    u64` cast split across lines. This module
-//! produces a real token stream instead, with two guarantees the rest of
+//! Every source rule reads this token stream. Unlike a per-line text
+//! scan, it tells a `partial_cmp` in code from one in a raw string, and
+//! it follows a statement across line breaks. Two guarantees the rest of
 //! the engine builds on:
 //!
 //! 1. **Round-trip**: concatenating [`Token::text`] over the stream

@@ -7,40 +7,39 @@
 //! justified by bit-identity with the reference path, so *nondeterminism*
 //! is a correctness bug too: a hash-ordered float sum or a wall-clock read
 //! in a decision path silently breaks reproducibility. This crate enforces
-//! repo-specific rules that `clippy` alone cannot express, with
+//! repo-specific rules that no clippy or rustc lint expresses, with
 //! `file:line` diagnostics and a nonzero exit code on violations:
 //!
 //! | Rule | Name          | Scope                     | What it rejects |
 //! |------|---------------|---------------------------|-----------------|
-//! | R1   | panic-freedom | decision-path crate `src/` + listed modules | `unwrap()`, `expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
-//! | R2   | nan-safety    | all crate `src/`          | `partial_cmp(..).unwrap()` / `unwrap_or(Ordering::…)` in comparisons |
-//! | R3   | lossy-cast    | `core`, `queueing` `src/` | bare `as` numeric casts in capacity math (token-based: sees through line breaks) |
+//! | R2   | nan-safety    | all crate `src/`          | a `partial_cmp` whose statement goes on to `unwrap`/`unwrap_or`/`unwrap_or_else` |
 //! | R4   | layering      | `crates/*/Cargo.toml`     | forbidden dependency edges |
-//! | R5   | doc-coverage  | `core`, `queueing` `src/` | undocumented `pub fn`/`struct`/`enum`/`trait`/`const`/`type`/`mod` |
 //! | R6   | determinism   | decision path (+ all files for wall clocks) | hash-ordered iteration without normalization, `Instant`/`SystemTime` reads outside the timing whitelist, `std::env`/thread-identity dependence |
 //! | R7   | float-order   | decision path             | f64 reductions over hash iteration; captured float accumulators in `parallel_map` closures |
 //! | R8   | concurrency   | everywhere except `bench::pool` | `std::sync` primitives (minus `Arc`/`Weak`), thread spawning, locks in per-item closures |
 //! | R9   | suppression   | everywhere                | `audit:allow` markers naming no known rule or carrying no justification |
 //!
-//! Code inside `#[cfg(test)]` modules is exempt from R1–R3 and R5–R8. A
+//! The numbers R1, R3 and R5 are retired and stay unused, so no marker or
+//! baseline entry is renumbered: panicking calls and macros, bare numeric
+//! `as` casts and undocumented public items are rejected by the
+//! workspace's clippy and rustc lints instead (DESIGN.md §7).
+//!
+//! Code inside `#[cfg(test)]` modules is exempt from R2 and R6–R8. A
 //! finding can be suppressed — one line at a time, with a justification —
 //! by `audit:allow(<rule>): why` or `audit: allow(<rule>, "why")` in a
 //! comment on the offending line or on a comment line directly above it.
 //! Every well-formed marker lands in the reported suppression ledger; R9
 //! flags malformed ones and is itself unsuppressible.
 //!
-//! The line rules run on a *stripped* view of each file (comments and
-//! string-literal contents blanked, line structure preserved), so a
-//! `panic!` inside a doc comment or an error message never false-positives.
-//! The semantic rules (R3, R6–R8) run on the lossless token stream via
+//! Every source rule runs on the lossless token stream via
 //! [`scopes::FileContext`], which resolves imports, tracks hash/float
-//! bindings and delimits worker-closure regions.
+//! bindings, delimits statements and worker-closure regions, and sees
+//! through line breaks, comments and string literals.
 
 pub mod jsonio;
 pub mod ledger;
 pub mod lexer;
 pub mod manifest;
-pub mod rules;
 pub mod scopes;
 pub mod semantic;
 pub mod strip;
@@ -48,9 +47,9 @@ pub mod strip;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The decision-path crates R1 (panic-freedom), R6 (determinism) and R7
-/// (float-order) apply to, by directory name under `crates/`. `workload`
-/// and `bench` are experiment harness code; `xtask` is this tool.
+/// The decision-path crates R6 (determinism) and R7 (float-order) apply
+/// to, by directory name under `crates/`. `workload` and `bench` are
+/// experiment harness code; `xtask` is this tool.
 pub const DECISION_PATH_CRATES: &[&str] = &[
     "core",
     "obs",
@@ -67,21 +66,21 @@ pub const DECISION_PATH_CRATES: &[&str] = &[
 /// Individual decision-path modules matched by path suffix. The bench
 /// harness is mostly layer-4 plumbing, but its measurement loop executes
 /// scaling decisions — under injected faults — so the fault-path files
-/// carry the same panic-freedom bar R1 applies to the decision-path
+/// carry the same determinism bar R6 and R7 apply to the decision-path
 /// crates. The snapshot codec, the JSON codec it reads through and the
 /// recovery oracle are listed even though their crates are already
-/// covered by [`DECISION_PATH_CRATES`]:
-/// crash recovery runs exactly when the system is least healthy, so
-/// these pins survive any future re-layering of the crate list. The
-/// simulation engine (`sim/src/{engine,event,fluid,station}.rs`) and its
-/// scale runner are pinned for the same reason: the hybrid regime switch executes inside the
-/// measurement loop, and its conservation accounting must hold at loads
-/// where a panic would discard hours of simulated time. The cluster
-/// arbiter, its conformance oracle and the multi-tenant loop join the
-/// list because they hold the shared budget and the cross-tenant billing
-/// ledger: a panic there takes down every tenant at once. The invocation
-/// graph, whose stored order Algorithm 1's walk and the simulator's
-/// request path follow, and the topology generators are pinned likewise.
+/// covered by [`DECISION_PATH_CRATES`]: a restored run must decide
+/// exactly as an uninterrupted one, so these pins survive any future
+/// re-layering of the crate list. The simulation engine
+/// (`sim/src/{engine,event,fluid,station}.rs`) and its scale runner are
+/// pinned for the same reason: the hybrid regime switch executes inside
+/// the measurement loop, and its conservation accounting must not depend
+/// on iteration order. The cluster arbiter, its conformance oracle and
+/// the multi-tenant loop join the list because they hold the shared
+/// budget and the cross-tenant billing ledger, which must be bit-exact
+/// run to run. The invocation graph, whose stored order Algorithm 1's
+/// walk and the simulator's request path follow, and the topology
+/// generators are pinned likewise.
 pub const DECISION_PATH_MODULES: &[&str] = &[
     "bench/src/des_scale.rs",
     "bench/src/drivers.rs",
@@ -102,12 +101,6 @@ pub const DECISION_PATH_MODULES: &[&str] = &[
     "sim/src/station.rs",
 ];
 
-/// Crates whose capacity math must use checked conversions (R3).
-pub const CHECKED_CAST_CRATES: &[&str] = &["core", "queueing"];
-
-/// Crates whose public API must be fully documented (R5).
-pub const DOC_COVERAGE_CRATES: &[&str] = &["core", "queueing"];
-
 /// Modules allowed to read the wall clock (R6), matched by path suffix:
 /// the metrics recorder timestamps observations and the experiment binary
 /// times its own phases — both outside the decision paths whose outputs
@@ -124,16 +117,10 @@ pub const CONCURRENCY_WHITELIST_MODULES: &[&str] = &["bench/src/pool.rs"];
 /// Identifier of an audit rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// R1: no panicking constructs in decision-path library code.
-    PanicFreedom,
     /// R2: no NaN-unsafe float comparisons.
     NanSafety,
-    /// R3: no bare numeric `as` casts in capacity math.
-    LossyCast,
     /// R4: no forbidden inter-crate dependency edges.
     Layering,
-    /// R5: public API carries doc comments.
-    DocCoverage,
     /// R6: no hash-order, wall-clock, environment or thread-identity
     /// dependence in decision paths.
     Determinism,
@@ -148,26 +135,20 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in numbering order.
-    pub const ALL: [RuleId; 9] = [
-        RuleId::PanicFreedom,
+    pub const ALL: [RuleId; 6] = [
         RuleId::NanSafety,
-        RuleId::LossyCast,
         RuleId::Layering,
-        RuleId::DocCoverage,
         RuleId::Determinism,
         RuleId::FloatOrder,
         RuleId::Concurrency,
         RuleId::SuppressionLedger,
     ];
 
-    /// The short id (`"R1"`…`"R9"`).
+    /// The short id (`"R2"`…`"R9"`).
     pub fn id(self) -> &'static str {
         match self {
-            RuleId::PanicFreedom => "R1",
             RuleId::NanSafety => "R2",
-            RuleId::LossyCast => "R3",
             RuleId::Layering => "R4",
-            RuleId::DocCoverage => "R5",
             RuleId::Determinism => "R6",
             RuleId::FloatOrder => "R7",
             RuleId::Concurrency => "R8",
@@ -178,11 +159,8 @@ impl RuleId {
     /// The rule's name, as used in `audit:allow(<name>)`.
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::PanicFreedom => "panic-freedom",
             RuleId::NanSafety => "nan-safety",
-            RuleId::LossyCast => "lossy-cast",
             RuleId::Layering => "layering",
-            RuleId::DocCoverage => "doc-coverage",
             RuleId::Determinism => "determinism",
             RuleId::FloatOrder => "float-order",
             RuleId::Concurrency => "concurrency",
@@ -276,17 +254,6 @@ impl AuditError {
     }
 }
 
-/// Runs every rule over the workspace rooted at `root`, returning only the
-/// findings. Thin wrapper over [`run_audit_report`] for callers that do
-/// not need the ledger.
-///
-/// # Errors
-///
-/// Returns [`AuditError`] when the workspace cannot be read.
-pub fn run_audit(root: &Path) -> Result<Vec<Finding>, AuditError> {
-    run_audit_report(root).map(|report| report.findings)
-}
-
 /// Runs every rule over the workspace rooted at `root` (the directory
 /// containing `crates/`), returning findings and the suppression ledger.
 ///
@@ -354,25 +321,16 @@ pub fn run_audit_report(root: &Path) -> Result<AuditReport, AuditError> {
     Ok(report)
 }
 
-/// Runs the source rules over one file, returning only the findings. Thin
-/// wrapper over [`audit_source_full`].
-pub fn audit_source(crate_name: &str, rel_path: &Path, text: &str) -> Vec<Finding> {
-    audit_source_full(crate_name, rel_path, text).findings
-}
-
-/// Runs the line rules (R1, R2, R5), the semantic rules (R3, R6–R8) and
-/// the ledger scan (R9) over one source file belonging to `crate_name`,
-/// honoring test-region exemptions and `audit:allow` markers.
+/// Runs the source rules (R2, R6–R8) and the ledger scan (R9) over one
+/// source file belonging to `crate_name`, honoring test-region exemptions
+/// and `audit:allow` markers.
 pub fn audit_source_full(crate_name: &str, rel_path: &Path, text: &str) -> FileAudit {
     let stripped = strip::strip_source(text);
     let source_lines: Vec<&str> = text.lines().collect();
 
-    let decision_path = DECISION_PATH_CRATES.contains(&crate_name)
-        || DECISION_PATH_MODULES.iter().any(|m| rel_path.ends_with(m));
-    let doc_coverage = DOC_COVERAGE_CRATES.contains(&crate_name);
     let app = semantic::Applicability {
-        decision_path,
-        checked_casts: CHECKED_CAST_CRATES.contains(&crate_name),
+        decision_path: DECISION_PATH_CRATES.contains(&crate_name)
+            || DECISION_PATH_MODULES.iter().any(|m| rel_path.ends_with(m)),
         wall_clock_banned: !TIMING_WHITELIST_MODULES
             .iter()
             .any(|m| rel_path.ends_with(m)),
@@ -381,60 +339,23 @@ pub fn audit_source_full(crate_name: &str, rel_path: &Path, text: &str) -> FileA
             .any(|m| rel_path.ends_with(m)),
     };
 
-    let mut findings = Vec::new();
-    for (idx, line) in stripped.lines.iter().enumerate() {
-        if stripped.in_test_region[idx] {
-            continue;
-        }
-        let lineno = idx + 1;
-
-        let mut line_findings = Vec::new();
-        if let Some(f) = rules::check_nan_safety(line) {
-            line_findings.push((RuleId::NanSafety, f));
-        } else if decision_path {
-            // R2 subsumes R1 on `partial_cmp(..).unwrap()` lines: report
-            // the sharper diagnostic only.
-            if let Some(f) = rules::check_panic_freedom(line) {
-                line_findings.push((RuleId::PanicFreedom, f));
-            }
-        }
-        if doc_coverage {
-            if let Some(f) = rules::check_doc_coverage(&stripped, idx) {
-                line_findings.push((RuleId::DocCoverage, f));
-            }
-        }
-
-        for (rule, message) in line_findings {
-            if allowed(&source_lines, idx, rule) {
-                continue;
-            }
-            findings.push(Finding {
-                rule,
-                file: rel_path.to_path_buf(),
-                line: lineno,
-                message,
-            });
-        }
-    }
-
-    // Semantic rules over the token stream; line-level exemptions apply
-    // the same way as for the line rules.
+    // A finding in a test region, or under an `audit:allow` marker for its
+    // rule, is not reported.
     let ctx = scopes::FileContext::analyze(text);
-    for (line, rule, message) in semantic::check_file(&ctx, app) {
-        let idx = line.saturating_sub(1);
-        if stripped.in_test_region.get(idx).copied().unwrap_or(false) {
-            continue;
-        }
-        if allowed(&source_lines, idx, rule) {
-            continue;
-        }
-        findings.push(Finding {
+    let mut findings: Vec<Finding> = semantic::check_file(&ctx, app)
+        .into_iter()
+        .filter(|(line, rule, _)| {
+            let idx = line.saturating_sub(1);
+            !stripped.in_test_region.get(idx).copied().unwrap_or(false)
+                && !allowed(&source_lines, idx, *rule)
+        })
+        .map(|(line, rule, message)| Finding {
             rule,
             file: rel_path.to_path_buf(),
             line,
             message,
-        });
-    }
+        })
+        .collect();
 
     // R9 + ledger collection, on the comment-only view so a marker quoted
     // inside a string literal is not mistaken for a real one. Markers in
@@ -524,6 +445,20 @@ mod tests {
             assert_eq!(RuleId::parse(rule.name()), Some(rule));
             assert_eq!(RuleId::parse(&rule.id().to_lowercase()), Some(rule));
         }
+        let ids: Vec<&str> = RuleId::ALL.iter().map(|r| r.id()).collect();
+        assert_eq!(ids, ["R2", "R4", "R6", "R7", "R8", "R9"]);
+        // Retired numbers name no rule, so a marker citing one is an R9
+        // finding rather than a silent no-op.
+        for retired in [
+            "R1",
+            "R3",
+            "R5",
+            "panic-freedom",
+            "lossy-cast",
+            "doc-coverage",
+        ] {
+            assert_eq!(RuleId::parse(retired), None, "{retired}");
+        }
         assert_eq!(RuleId::parse("R10"), None);
         assert_eq!(RuleId::parse("unwrap"), None);
     }
@@ -531,33 +466,35 @@ mod tests {
     #[test]
     fn allow_marker_scopes() {
         let lines = [
-            "let a = x.unwrap(); // audit:allow(panic-freedom): startup only",
-            "// audit:allow(R1): fallback is worse",
-            "let b = y.unwrap();",
-            "let c = z.unwrap();",
+            "v.sort_by(|a, b| a.partial_cmp(b).unwrap()); // audit:allow(nan-safety): finite",
+            "// audit:allow(R2): inputs are checked finite above",
+            "let b = x.partial_cmp(&y).unwrap();",
+            "let c = x.partial_cmp(&z).unwrap();",
         ];
-        assert!(allowed(&lines, 0, RuleId::PanicFreedom));
-        assert!(allowed(&lines, 2, RuleId::PanicFreedom));
+        assert!(allowed(&lines, 0, RuleId::NanSafety));
+        assert!(allowed(&lines, 2, RuleId::NanSafety));
         // Line 3 has no marker of its own; line 2 is not a comment line.
-        assert!(!allowed(&lines, 3, RuleId::PanicFreedom));
-        // The marker names R1, not R2.
-        assert!(!allowed(&lines, 2, RuleId::NanSafety));
+        assert!(!allowed(&lines, 3, RuleId::NanSafety));
+        // The marker names R2, not R6.
+        assert!(!allowed(&lines, 2, RuleId::Determinism));
     }
 
     #[test]
     fn inline_marker_syntax_suppresses_too() {
-        let lines = ["let a = x.unwrap(); // audit: allow(R1, \"startup only\")"];
-        assert!(allowed(&lines, 0, RuleId::PanicFreedom));
-        assert!(!allowed(&lines, 0, RuleId::NanSafety));
+        let lines = ["let a = x.partial_cmp(&y).unwrap(); // audit: allow(R2, \"finite\")"];
+        assert!(allowed(&lines, 0, RuleId::NanSafety));
+        assert!(!allowed(&lines, 0, RuleId::Determinism));
     }
 
     #[test]
-    fn r2_subsumes_r1_on_same_line() {
+    fn r2_applies_to_every_crate() {
         let text = "fn f(v: &mut [f64]) {\n    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
-        let findings = audit_source("queueing", Path::new("x.rs"), text);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, RuleId::NanSafety);
-        assert_eq!(findings[0].line, 2);
+        for crate_name in ["queueing", "bench", "workload"] {
+            let findings = audit_source_full(crate_name, Path::new("x.rs"), text).findings;
+            assert_eq!(findings.len(), 1, "{crate_name}: {findings:?}");
+            assert_eq!(findings[0].rule, RuleId::NanSafety);
+            assert_eq!(findings[0].line, 2);
+        }
     }
 
     #[test]
@@ -565,30 +502,42 @@ mod tests {
         let text = "pub fn f() {}\n\
                     #[cfg(test)]\n\
                     mod tests {\n\
-                    \x20   fn g() { None::<u32>.unwrap(); }\n\
+                    \x20   fn g(a: f64) -> bool { a.partial_cmp(&1.0).unwrap().is_lt() }\n\
+                    \x20   fn h() -> bool { std::env::var(\"X\").is_ok() }\n\
                     }\n";
-        let findings = audit_source("sim", Path::new("x.rs"), text);
+        let findings = audit_source_full("sim", Path::new("x.rs"), text).findings;
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
-    fn non_decision_path_crates_skip_r1() {
-        let text = "fn f() { None::<u32>.unwrap(); }\n";
-        assert!(audit_source("bench", Path::new("x.rs"), text).is_empty());
-        assert_eq!(audit_source("core", Path::new("x.rs"), text).len(), 1);
+    fn non_decision_path_crates_skip_r6() {
+        let text = "fn f() -> bool { std::env::var(\"X\").is_ok() }\n";
+        assert!(audit_source_full("bench", Path::new("x.rs"), text)
+            .findings
+            .is_empty());
+        assert_eq!(
+            audit_source_full("core", Path::new("x.rs"), text)
+                .findings
+                .len(),
+            1
+        );
     }
 
     #[test]
-    fn decision_path_modules_get_r1_by_suffix() {
-        let text = "fn f() { None::<u32>.unwrap(); }\n";
+    fn decision_path_modules_get_r6_by_suffix() {
+        let text = "fn f() -> bool { std::env::var(\"X\").is_ok() }\n";
         for module in DECISION_PATH_MODULES {
             let rel = Path::new("crates").join(module);
-            let findings = audit_source("bench", &rel, text);
+            let findings = audit_source_full("bench", &rel, text).findings;
             assert_eq!(findings.len(), 1, "{module} should be decision-path");
-            assert_eq!(findings[0].rule, RuleId::PanicFreedom);
+            assert_eq!(findings[0].rule, RuleId::Determinism);
         }
         // Sibling bench files stay exempt.
-        assert!(audit_source("bench", Path::new("crates/bench/src/paper.rs"), text).is_empty());
+        assert!(
+            audit_source_full("bench", Path::new("crates/bench/src/paper.rs"), text)
+                .findings
+                .is_empty()
+        );
     }
 
     #[test]
@@ -627,39 +576,53 @@ mod tests {
     fn timing_and_concurrency_whitelists_match_by_suffix() {
         let clock = "fn f() { let t = std::time::Instant::now(); }\n";
         assert_eq!(
-            audit_source("obs", Path::new("crates/obs/src/recorder.rs"), clock).len(),
+            audit_source_full("obs", Path::new("crates/obs/src/recorder.rs"), clock)
+                .findings
+                .len(),
             1
         );
-        assert!(audit_source("obs", Path::new("crates/obs/src/metrics.rs"), clock).is_empty());
+        assert!(
+            audit_source_full("obs", Path::new("crates/obs/src/metrics.rs"), clock)
+                .findings
+                .is_empty()
+        );
 
         let lock = "fn f() { let m = std::sync::Mutex::new(0); }\n";
         assert_eq!(
-            audit_source("bench", Path::new("crates/bench/src/paper.rs"), lock).len(),
+            audit_source_full("bench", Path::new("crates/bench/src/paper.rs"), lock)
+                .findings
+                .len(),
             1
         );
-        assert!(audit_source("bench", Path::new("crates/bench/src/pool.rs"), lock).is_empty());
+        assert!(
+            audit_source_full("bench", Path::new("crates/bench/src/pool.rs"), lock)
+                .findings
+                .is_empty()
+        );
     }
 
     #[test]
     fn ledger_collects_markers_and_r9_is_unsuppressible() {
-        let text = "fn f(x: Option<u32>) -> u32 {\n\
-                    \x20   // audit:allow(R1): fallback would mask the config error\n\
-                    \x20   x.unwrap()\n\
+        let text = "fn f(a: f64, b: f64) -> bool {\n\
+                    \x20   // audit:allow(R2): both operands are checked finite by the caller\n\
+                    \x20   a.partial_cmp(&b).unwrap().is_lt()\n\
                     }\n\
-                    // audit:allow(R1) audit:allow(R9): excuses itself\n\
-                    fn g() {}\n";
+                    // audit:allow(R2) audit:allow(R9): excuses itself\n\
+                    fn g() {}\n\
+                    // audit:allow(R1): names a retired rule\n\
+                    fn h() {}\n";
         let audit = audit_source_full("core", Path::new("crates/core/src/z.rs"), text);
         assert_eq!(audit.ledger.len(), 2, "{:?}", audit.ledger);
         assert_eq!(audit.ledger[0].line, 2);
-        assert_eq!(audit.ledger[0].rule, RuleId::PanicFreedom);
-        // The reasonless R1 marker on line 5 is flagged despite the
-        // adjacent allow(R9) attempt.
-        let r9: Vec<_> = audit
+        assert_eq!(audit.ledger[0].rule, RuleId::NanSafety);
+        // The reasonless R2 marker on line 5 is flagged despite the
+        // adjacent allow(R9) attempt, and so is the retired R1 on line 7.
+        let r9: Vec<usize> = audit
             .findings
             .iter()
             .filter(|f| f.rule == RuleId::SuppressionLedger)
+            .map(|f| f.line)
             .collect();
-        assert_eq!(r9.len(), 1, "{:?}", audit.findings);
-        assert_eq!(r9[0].line, 5);
+        assert_eq!(r9, [5, 7], "{:?}", audit.findings);
     }
 }

@@ -1,7 +1,7 @@
 //! Workspace task runner. Currently one task:
 //!
 //! ```text
-//! cargo run -p xtask -- audit [--root DIR] [--json] [--out FILE]
+//! cargo run -p xtask -- audit [--root DIR] [--out FILE]
 //!                             [--baseline FILE] [--write-baseline]
 //! ```
 //!
@@ -37,13 +37,11 @@ fn print_usage() {
          \n\
          commands:\n\
          \x20 audit [options]   run the workspace static-analysis rules\n\
-         \x20                   (R1 panic-freedom, R2 nan-safety, R3 lossy-cast,\n\
-         \x20                    R4 layering, R5 doc-coverage, R6 determinism,\n\
+         \x20                   (R2 nan-safety, R4 layering, R6 determinism,\n\
          \x20                    R7 float-order, R8 concurrency, R9 suppression)\n\
          \n\
          audit options:\n\
          \x20 --root DIR         workspace to audit (default: this repo's root)\n\
-         \x20 --json             print the report as JSON instead of text\n\
          \x20 --out FILE         also write the JSON report to FILE\n\
          \x20 --baseline FILE    fail only on findings not present in FILE;\n\
          \x20                    pre-existing findings are reported but tolerated\n\
@@ -54,7 +52,6 @@ fn print_usage() {
 
 struct AuditOptions {
     root: Option<PathBuf>,
-    json: bool,
     out: Option<PathBuf>,
     baseline: Option<PathBuf>,
     write_baseline: bool,
@@ -63,7 +60,6 @@ struct AuditOptions {
 fn parse_options(args: &[String]) -> Result<AuditOptions, String> {
     let mut opts = AuditOptions {
         root: None,
-        json: false,
         out: None,
         baseline: None,
         write_baseline: false,
@@ -75,7 +71,6 @@ fn parse_options(args: &[String]) -> Result<AuditOptions, String> {
                 Some(dir) => opts.root = Some(PathBuf::from(dir)),
                 None => return Err("--root requires a directory argument".to_owned()),
             },
-            "--json" => opts.json = true,
             "--out" => match iter.next() {
                 Some(file) => opts.out = Some(PathBuf::from(file)),
                 None => return Err("--out requires a file argument".to_owned()),
@@ -140,10 +135,6 @@ fn audit(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if opts.json {
-        print!("{json}");
-    }
-
     // Baseline mode: tolerate findings already accounted for, fail on the
     // rest.
     if let Some(path) = &opts.baseline {
@@ -162,19 +153,17 @@ fn audit(args: &[String]) -> ExitCode {
             }
         };
         let fresh = xtask::jsonio::new_findings(&report.findings, &keys);
-        if !opts.json {
-            for finding in &fresh {
-                println!("{finding}");
-            }
-            println!(
-                "audit: {} finding(s), {} new vs baseline {}, {} ledger entr{}",
-                report.findings.len(),
-                fresh.len(),
-                path.display(),
-                report.ledger.len(),
-                if report.ledger.len() == 1 { "y" } else { "ies" }
-            );
+        for finding in &fresh {
+            println!("{finding}");
         }
+        println!(
+            "audit: {} finding(s), {} new vs baseline {}, {} ledger entr{}",
+            report.findings.len(),
+            fresh.len(),
+            path.display(),
+            report.ledger.len(),
+            if report.ledger.len() == 1 { "y" } else { "ies" }
+        );
         return if fresh.is_empty() {
             ExitCode::SUCCESS
         } else {
@@ -182,13 +171,6 @@ fn audit(args: &[String]) -> ExitCode {
         };
     }
 
-    if opts.json {
-        return if report.findings.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     if report.findings.is_empty() {
         println!(
             "audit: clean ({} rules over {}, {} ledger entr{})",

@@ -1,6 +1,6 @@
 //! Lightweight scope and item tracking over the token stream.
 //!
-//! The semantic rules (R6–R8) need more context than a single line can
+//! The source rules (R2, R6–R8) need more context than a single line can
 //! carry: whether `HashMap` in this file *is* `std::collections::HashMap`,
 //! which local names are bound to hash-ordered collections, and which
 //! token spans lie inside a `parallel_map`/`spawn` call whose closure runs

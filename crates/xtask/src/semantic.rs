@@ -1,8 +1,9 @@
-//! The semantic rule families: R3 (token-stream lossy casts), R6
+//! The source rule families: R2 (NaN-safe comparisons), R6
 //! (determinism), R7 (float-reduction order) and R8 (concurrency
 //! discipline). All run over a [`FileContext`] — the lexed token stream
-//! plus import resolution, binding tracking and parallel-region spans —
-//! so they see through line breaks, comments and string literals.
+//! plus import resolution, binding tracking, statement extents and
+//! parallel-region spans — so they see through line breaks, comments and
+//! string literals.
 //!
 //! Why these rules exist: every speedup since the incremental-solver PR
 //! is justified by bit-identity between optimized and reference paths. A
@@ -60,13 +61,12 @@ fn is_forbidden_sync_path(path: &str) -> bool {
     })
 }
 
-/// Which rule families apply to the file being checked.
+/// Which rule families apply to the file being checked (R2 applies to
+/// every file).
 #[derive(Debug, Clone, Copy)]
 pub struct Applicability {
     /// R6 hash/env and R7: decision-path crates and modules.
     pub decision_path: bool,
-    /// R3: capacity-math crates.
-    pub checked_casts: bool,
     /// R6 time: false inside the obs/bench timing whitelist.
     pub wall_clock_banned: bool,
     /// R8: false inside `bench::pool` (the one sanctioned home of
@@ -74,7 +74,7 @@ pub struct Applicability {
     pub concurrency_banned: bool,
 }
 
-/// Runs R3 + R6 + R7 + R8 over one analyzed file. Line-level exemptions
+/// Runs R2 + R6 + R7 + R8 over one analyzed file. Line-level exemptions
 /// (test regions, allow markers) are applied by the caller.
 pub fn check_file(ctx: &FileContext, app: Applicability) -> Vec<SemFinding> {
     let mut findings = Vec::new();
@@ -82,9 +82,7 @@ pub fn check_file(ctx: &FileContext, app: Applicability) -> Vec<SemFinding> {
     // one defect yields the sharper diagnostic, not two overlapping ones.
     let mut r7_statements: Vec<(usize, usize)> = Vec::new();
 
-    if app.checked_casts {
-        check_lossy_casts(ctx, &mut findings);
-    }
+    check_nan_safety(ctx, &mut findings);
     if app.decision_path {
         check_float_reductions(ctx, &mut findings, &mut r7_statements);
         check_hash_iteration(ctx, &r7_statements, &mut findings);
@@ -100,38 +98,39 @@ pub fn check_file(ctx: &FileContext, app: Applicability) -> Vec<SemFinding> {
     findings
 }
 
-/// Cast targets R3 rejects (casting *to* these truncates, saturates or
-/// loses precision silently).
-const CAST_TARGETS: &[&str] = &[
-    "usize", "u64", "u32", "u16", "u8", "isize", "i64", "i32", "i16", "i8", "f64", "f32",
-];
+/// Methods that collapse `partial_cmp`'s `Option<Ordering>` into an
+/// ordering: `unwrap` panics on the `None` a NaN operand yields, the
+/// other two substitute a fixed answer for it.
+const UNWRAPS: &[&str] = &["unwrap", "unwrap_or", "unwrap_or_else"];
 
-/// R3 — lossy casts, on the token stream: `expr as u64` is flagged even
-/// when a line break separates `as` from its target. `use … as name`
-/// renames are excluded by checking the enclosing statement.
-fn check_lossy_casts(ctx: &FileContext, findings: &mut Vec<SemFinding>) {
+/// R2 — NaN-safety: a `partial_cmp` whose statement goes on to call
+/// `unwrap`, `unwrap_or` or `unwrap_or_else` panics on, or silently
+/// misorders, a NaN operand. Require `f64::total_cmp` or an explicit
+/// finite-input guard. Reported at the `partial_cmp` line, wherever in the
+/// statement the unwrap sits.
+fn check_nan_safety(ctx: &FileContext, findings: &mut Vec<SemFinding>) {
     let sig = &ctx.sig;
     for i in 0..sig.len() {
-        if sig[i].kind != TokenKind::Ident || sig[i].text != "as" {
+        if sig[i].kind != TokenKind::Ident || sig[i].text != "partial_cmp" {
             continue;
         }
-        let Some(next) = sig.get(i + 1) else { continue };
-        if next.kind != TokenKind::Ident || !CAST_TARGETS.contains(&next.text.as_str()) {
-            continue;
+        let (_, end) = ctx.statement_range(i);
+        let unwrapped = (i + 1..end).any(|j| {
+            sig[j].text == "."
+                && sig
+                    .get(j + 1)
+                    .is_some_and(|t| UNWRAPS.contains(&t.text.as_str()))
+                && sig.get(j + 2).is_some_and(|t| t.text == "(")
+        });
+        if unwrapped {
+            findings.push((
+                sig[i].line,
+                RuleId::NanSafety,
+                "NaN-unsafe comparison: use `f64::total_cmp` (or guard inputs as finite) instead \
+                 of `partial_cmp(..).unwrap*`"
+                    .to_owned(),
+            ));
         }
-        // `use path as alias;` / `pub use … as …;` are renames, not casts.
-        let (start, _) = ctx.statement_range(i);
-        if sig[start..i].iter().any(|t| t.text == "use") {
-            continue;
-        }
-        findings.push((
-            sig[i].line,
-            RuleId::LossyCast,
-            format!(
-                "bare `as {}` cast in capacity math: use `try_from`/`from` or a checked helper",
-                next.text
-            ),
-        ));
     }
 }
 
@@ -507,7 +506,6 @@ mod tests {
 
     const ALL: Applicability = Applicability {
         decision_path: true,
-        checked_casts: true,
         wall_clock_banned: true,
         concurrency_banned: true,
     };
@@ -521,20 +519,52 @@ mod tests {
     }
 
     #[test]
-    fn r3_sees_casts_split_across_lines() {
-        let text = "fn f(x: f64) -> u64 {\n    (x * 2.0) as\n        u64\n}\n";
-        let f = check(text);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].1, RuleId::LossyCast);
-        assert_eq!(f[0].0, 2, "reported at the `as` line");
+    fn r2_flags_nan_unsafe_comparators() {
+        for bad in [
+            "v.sort_by(|a, b| a.partial_cmp(b).unwrap());",
+            "v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));",
+            "xs.iter().max_by(|a, b| a.partial_cmp(b).unwrap_or_else(|| Ordering::Less));",
+            "v.sort_by(|a, b| { a.partial_cmp(b).unwrap() });",
+        ] {
+            let f = check(&format!("fn f() {{\n    {bad}\n}}\n"));
+            assert_eq!(f.len(), 1, "{bad}: {f:?}");
+            assert_eq!((f[0].0, f[0].1), (2, RuleId::NanSafety), "{bad}");
+        }
     }
 
     #[test]
-    fn r3_excludes_use_renames_and_non_numeric_targets() {
-        assert!(check("use queueing::mmn as mmn_solver;\n").is_empty());
-        assert!(check("pub use a::b as c;\n").is_empty());
-        assert!(check("fn f(x: u32) -> u64 { u64::from(x) }\n").is_empty());
-        assert!(check("fn f(t: T) -> U { t as U }\n").is_empty());
+    fn r2_sees_the_unwrap_on_a_later_line() {
+        // rustfmt puts each call of a long comparator chain on its own
+        // line, so the unwrap can sit lines below its `partial_cmp`.
+        let text = "fn pivot(a: &[[f64; 3]; 3], col: usize) -> Option<usize> {\n\
+                    \x20   (col..3).max_by(|&i, &j| {\n\
+                    \x20       a[i][col]\n\
+                    \x20           .abs()\n\
+                    \x20           .partial_cmp(&a[j][col].abs())\n\
+                    \x20           .unwrap_or(std::cmp::Ordering::Equal)\n\
+                    \x20   })\n\
+                    }\n";
+        let f = check(text);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(
+            (f[0].0, f[0].1),
+            (5, RuleId::NanSafety),
+            "at the partial_cmp line"
+        );
+    }
+
+    #[test]
+    fn r2_accepts_total_cmp_and_guarded_partial_cmp() {
+        for ok in [
+            "v.sort_by(f64::total_cmp);",
+            "v.sort_by(|a, b| a.total_cmp(b));",
+            "let ord = a.partial_cmp(&b)?;",
+            "match a.partial_cmp(&b) { Some(o) => o, None => return Err(..) }",
+            "let ord = a.partial_cmp(&b); let x = y.unwrap();",
+        ] {
+            let f = check(&format!("fn f() {{\n    {ok}\n}}\n"));
+            assert!(f.is_empty(), "false positive: {ok}: {f:?}");
+        }
     }
 
     #[test]
@@ -686,7 +716,6 @@ mod tests {
                     }\n";
         let none = Applicability {
             decision_path: false,
-            checked_casts: false,
             wall_clock_banned: false,
             concurrency_banned: false,
         };

@@ -1,22 +1,22 @@
-//! The stripped line view: comments and string-literal contents blanked,
-//! line structure preserved, plus `#[cfg(test)]` region detection.
+//! Per-line classification for the audit's exemptions: which lines lie
+//! inside a `#[cfg(test)]` item and which are doc comments.
 //!
-//! Since the token-level lexer landed (see [`crate::lexer`]), this module
-//! is a thin projection over it rather than a second hand-rolled scanner:
-//! the blanking is [`crate::lexer::stripped_view`] over the lossless token
-//! stream, so the line rules and the semantic rules can never disagree
-//! about what is a comment and what is code.
+//! Test regions are found on the stripped line view, comments and
+//! string-literal contents blanked with line structure preserved, so a
+//! brace inside a literal cannot skew the matching. The blanking is
+//! [`crate::lexer::stripped_view`] over the lossless token stream the
+//! rules read, so the two never disagree about what is code.
 
 use crate::lexer;
 
-/// A file prepared for line-rule scanning.
+/// A file's stripped lines and their classifications.
 #[derive(Debug)]
 pub struct StrippedSource {
     /// Lines with comments and string contents blanked.
     pub lines: Vec<String>,
     /// Whether each line is a doc comment (`///`, `//!` or `#[doc`) in the
-    /// original source — needed by the doc-coverage rule, which would
-    /// otherwise be blinded by the stripping.
+    /// original source: an `audit:allow` marker there is prose, not a
+    /// suppression.
     pub doc_comment: Vec<bool>,
     /// Whether each line lies inside a `#[cfg(test)]` item.
     pub in_test_region: Vec<bool>,

@@ -1,11 +1,11 @@
 //! Fixture: R9 suppression-ledger seeds — malformed markers (violations)
 //! and well-formed ones (ledger entries).
 
-/// Violation: a reasonless marker. It still suppresses the `unwrap` —
+/// Violation: a reasonless marker. It still suppresses the comparison —
 /// R9 points at the real problem, the missing justification.
-fn reasonless(x: Option<u32>) -> u32 {
-    // audit:allow(R1)
-    x.unwrap()
+fn reasonless(a: f64, b: f64) -> bool {
+    // audit:allow(R2)
+    a.partial_cmp(&b).unwrap().is_lt()
 }
 
 /// Violation: the marker names no known rule, so it suppresses nothing.
@@ -19,15 +19,15 @@ fn empty_reason() {
 }
 
 /// Conforming: the legacy trailing-reason syntax.
-fn legacy_syntax(x: Option<u32>) -> u32 {
-    // audit:allow(R1): fixture pins the legacy marker syntax
-    x.unwrap()
+fn legacy_syntax(a: f64, b: f64) -> bool {
+    // audit:allow(R2): fixture pins the legacy marker syntax
+    a.partial_cmp(&b).unwrap().is_lt()
 }
 
 /// Conforming: the inline quoted-reason syntax.
-fn inline_syntax(x: f64) -> u64 {
-    // audit: allow(R3, "fixture pins the inline marker syntax")
-    x as u64
+fn inline_syntax() -> bool {
+    // audit: allow(R6, "fixture pins the inline marker syntax")
+    std::env::var("CHAMULTEON_FAST").is_ok()
 }
 
 /// Conforming: prose mentioning the audit is not a marker.

@@ -1,36 +1,21 @@
-//! Fixture: one seeded violation per line rule, plus a suppressed twin.
+//! Fixture: one seeded R2 violation, plus a suppressed twin.
 
 /// Compares floats the NaN-unsafe way (R2 seed).
 pub fn nan_unsafe(a: f64, b: f64) -> bool {
     a.partial_cmp(&b).unwrap() == std::cmp::Ordering::Less
 }
 
-pub fn undocumented(x: u32) -> u32 {
-    x
-}
-
-/// Truncates capacity math the lossy way (R3 seed).
-pub fn lossy(x: f64) -> u32 {
-    x as u32
-}
-
-/// Panics on empty input (R1 seed).
-pub fn panicky(x: Option<u32>) -> u32 {
-    x.unwrap()
-}
-
-/// Same construct as `panicky`, but suppressed by an allow marker.
-pub fn suppressed(x: Option<u32>) -> u32 {
-    // audit:allow(panic-freedom): fixture demonstrates suppression
-    x.unwrap()
+/// Same construct as `nan_unsafe`, but suppressed by an allow marker.
+pub fn suppressed(a: f64, b: f64) -> bool {
+    // audit:allow(nan-safety): fixture demonstrates suppression
+    a.partial_cmp(&b).unwrap() == std::cmp::Ordering::Less
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn test_code_is_exempt() {
-        assert_eq!(super::panicky(Some(7)), 7);
-        let boom: u32 = None.unwrap();
-        let _ = f64::from(boom) as u8;
+        let ord = 1.0_f64.partial_cmp(&2.0).unwrap();
+        assert!(super::nan_unsafe(1.0, 2.0) && ord.is_lt());
     }
 }

@@ -97,12 +97,12 @@ fn conforming_cases_and_whitelist_stay_silent() {
         "R7 should subsume R6 on reduction statements: {:#?}",
         rep.findings
     );
-    // The reasonless marker still suppresses its R1 target; R9 reports
+    // The reasonless marker still suppresses its R2 target; R9 reports
     // the marker itself instead.
     assert!(
         !rep.findings
             .iter()
-            .any(|f| normalized(&f.file).ends_with("markers.rs") && f.rule == RuleId::PanicFreedom),
+            .any(|f| normalized(&f.file).ends_with("markers.rs") && f.rule == RuleId::NanSafety),
         "reasonless marker must still suppress: {:#?}",
         rep.findings
     );
@@ -136,13 +136,13 @@ fn ledger_collects_every_wellformed_marker() {
             "fixture pins suppression; caller sorts before use",
         ),
         (
-            RuleId::PanicFreedom,
+            RuleId::NanSafety,
             "crates/core/src/markers.rs".to_owned(),
             23,
             "fixture pins the legacy marker syntax",
         ),
         (
-            RuleId::LossyCast,
+            RuleId::Determinism,
             "crates/core/src/markers.rs".to_owned(),
             29,
             "fixture pins the inline marker syntax",
@@ -172,16 +172,18 @@ fn run_audit_binary(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn json_output_is_byte_stable_across_runs() {
-    let first = run_audit_binary(&["--json"]);
-    let second = run_audit_binary(&["--json"]);
-    assert_eq!(first.status.code(), Some(1), "{first:?}");
-    assert_eq!(second.status.code(), Some(1));
-    assert!(!first.stdout.is_empty());
-    assert_eq!(
-        first.stdout, second.stdout,
-        "JSON output must be byte-stable"
-    );
-    let text = String::from_utf8(first.stdout).expect("valid UTF-8");
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("semantic-json");
+    std::fs::create_dir_all(&tmp).expect("tmp dir");
+    let mut reports = Vec::new();
+    for name in ["first.json", "second.json"] {
+        let path = tmp.join(name);
+        let out = run_audit_binary(&["--out", path.to_str().expect("utf-8 path")]);
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        reports.push(std::fs::read(&path).expect("report written"));
+    }
+    assert!(!reports[0].is_empty());
+    assert_eq!(reports[0], reports[1], "JSON output must be byte-stable");
+    let text = String::from_utf8(reports.swap_remove(0)).expect("valid UTF-8");
     assert!(text.contains("\"schema\": \"chamulteon-audit/v1\""));
     // The report parses as its own baseline with the full finding set.
     let keys = xtask::jsonio::parse_baseline(&text).expect("self-parse");

@@ -12,7 +12,7 @@
     clippy::cast_precision_loss
 )]
 use chamulteon_repro::perfmodel::ApplicationModel;
-use chamulteon_repro::queueing::{MmnQueue, StationSpec, TandemNetwork};
+use chamulteon_repro::queueing::MmnQueue;
 use chamulteon_repro::sim::{DeploymentProfile, Simulation, SimulationConfig, SloPolicy};
 use chamulteon_repro::workload::LoadTrace;
 
@@ -31,18 +31,23 @@ fn fixed_supply_simulation(rate: f64, supply: [u32; 3], duration: f64, seed: u64
 #[test]
 fn simulated_response_time_matches_mmn_prediction() {
     // Moderate load on a fixed deployment; compare the simulated mean
-    // end-to-end response time with the product-form prediction.
+    // end-to-end response time with the product-form prediction: every
+    // request visits each tier once, so the chain's mean response time is
+    // the sum of the tiers' M/M/n sojourn times.
     let rate = 80.0;
     let supply = [7, 11, 5];
     let result = fixed_supply_simulation(rate, supply, 3_600.0, 42).run_to_end();
 
-    let net = TandemNetwork::new(vec![
-        StationSpec::new(0.059, supply[0]),
-        StationSpec::new(0.1, supply[1]),
-        StationSpec::new(0.04, supply[2]),
-    ])
-    .unwrap();
-    let predicted = net.mean_response_time(rate).unwrap();
+    let predicted: f64 = [0.059, 0.1, 0.04]
+        .iter()
+        .zip(supply)
+        .map(|(&demand, servers)| {
+            MmnQueue::new(rate, demand, servers)
+                .unwrap()
+                .mean_response_time()
+                .unwrap()
+        })
+        .sum();
     let simulated = result.mean_response_time();
     let rel_err = (simulated - predicted).abs() / predicted;
     assert!(
