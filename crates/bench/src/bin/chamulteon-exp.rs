@@ -35,13 +35,11 @@
 //! cargo run --release --bin chamulteon-exp -- --trace mytrace.csv --all
 //! ```
 
-// The bench crate is the experiment harness (layer 5, outside the
-// decision path): casts size small loop/display counts from bounded
-// trace durations.
 #![allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "the bench crate is the experiment harness (layer 6, outside the decision path): \
+              casts size small loop/display counts from bounded trace durations"
 )]
 
 use chamulteon::{ArbitrationPolicy, ChargingModel, RetryPolicy};
@@ -590,6 +588,7 @@ fn parse_conformance(flags: &mut Flags) -> Result<ConformanceArgs, String> {
     Ok(args)
 }
 
+#[expect(clippy::disallowed_methods, reason = "reports its own wall time")]
 fn conformance_main(args: ConformanceArgs) -> ExitCode {
     eprintln!(
         "conformance: {} Algorithm 1 cases, {} ledger replays, {} arrivals/station, \
@@ -696,6 +695,7 @@ fn parse_multi_tenant(flags: &mut Flags) -> Result<MultiTenantArgs, String> {
     Ok(args)
 }
 
+#[expect(clippy::disallowed_methods, reason = "reports its own wall time")]
 fn multi_tenant_main(args: MultiTenantArgs) -> ExitCode {
     eprintln!(
         "multi-tenant: {} tenants, policy {}, budget {}, {:.0} s simulated...",
@@ -726,6 +726,7 @@ fn multi_tenant_main(args: MultiTenantArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+#[expect(clippy::disallowed_methods, reason = "reads its command line")]
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {

@@ -15,9 +15,9 @@
 //! in-flight` — the hybrid run is only comparable because it conserves
 //! requests exactly.
 //!
-//! This module is decision-path code (xtask `DECISION_PATH_MODULES`):
-//! it is clock-free — timing a case is the caller's job — and, under the
-//! workspace's panic lints, panic-free.
+//! The module is clock-free — timing a case is the caller's job, and
+//! `clippy.toml` bans the clock reads — and, under the workspace's panic
+//! lints, panic-free.
 
 use chamulteon_perfmodel::{ApplicationModel, ApplicationModelBuilder};
 use chamulteon_queueing::capacity::min_instances_for_utilization;

@@ -31,18 +31,16 @@
 //! assert_eq!(outcome.report.scaler, "chamulteon");
 //! ```
 
-// The bench crate is the experiment harness (layer 5). Casts size small
-// loop/display counts from bounded trace durations. `expect` is allowed
-// only in `paper`'s section plumbing: the measurement loop (`drivers`,
-// `experiment`, `robustness`) runs under injected faults and stays
-// panic-free, enforced by the workspace's `clippy::expect_used`.
+// `expect` is allowed only in `paper`'s section plumbing: the measurement
+// loop (`drivers`, `experiment`, `robustness`) runs under injected faults
+// and stays panic-free, enforced by the workspace's `clippy::expect_used`.
 #![allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "the bench crate is the experiment harness (layer 6): casts size small \
+              loop/display counts from bounded trace durations"
 )]
 #![forbid(unsafe_code)]
-#![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately rejects NaN
 #![warn(missing_docs)]
 
 pub mod des_scale;

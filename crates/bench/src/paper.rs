@@ -12,8 +12,10 @@
 //! by roughly what factor): the substrate here is a simulator, not the
 //! authors' CloudStack/Kubernetes testbed.
 
-// Section plumbing builds fixed, statically valid traces and models.
-#![allow(clippy::expect_used)]
+#![allow(
+    clippy::expect_used,
+    reason = "section plumbing builds fixed, statically valid traces and models"
+)]
 
 use crate::drivers::ScalerKind;
 use crate::experiment::{run_experiment, ExperimentOutcome, ExperimentSpec};
@@ -759,7 +761,7 @@ mod tests {
         for table in [&TABLE2, &TABLE3, &TABLE4, &TABLE5] {
             let worst_apdex = table
                 .iter()
-                .min_by(|a, b| a.values[6].partial_cmp(&b.values[6]).unwrap())
+                .min_by(|a, b| a.values[6].total_cmp(&b.values[6]))
                 .unwrap();
             assert!(
                 worst_apdex.scaler == "reg" || worst_apdex.scaler == "adapt",

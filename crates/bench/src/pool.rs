@@ -16,9 +16,6 @@
 //! dependency-free by policy); a shared atomic cursor hands out the next
 //! index, which is all the scheduling these long, coarse cells need.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 /// A sensible worker count for CPU-bound cells: the machine's available
 /// parallelism, or 1 when it cannot be determined.
 pub fn default_threads() -> usize {
@@ -38,12 +35,20 @@ pub fn default_threads() -> usize {
 ///
 /// With `threads <= 1` (or fewer than two items) everything runs on the
 /// calling thread with no synchronization at all.
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the one home for threads and shared state; results merge in input order"
+)]
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
     if threads <= 1 || items.len() < 2 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
@@ -81,7 +86,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn results_are_in_input_order() {
@@ -105,7 +109,9 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "counts the workers' calls")]
     fn each_item_computed_once() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let calls = AtomicU64::new(0);
         let items: Vec<u32> = (0..50).collect();
         let out = parallel_map(&items, 4, |_, &x| {

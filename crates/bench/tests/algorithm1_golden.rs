@@ -17,7 +17,7 @@
     clippy::expect_used,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "test code: panics and lossy casts are acceptable here"
 )]
 
 use chamulteon::{Chamulteon, ChamulteonConfig, ChargingModel, RetryPolicy};

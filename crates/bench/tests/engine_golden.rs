@@ -17,13 +17,7 @@
 //!   pure and hybrid des-scale mini cases, and an hour of the
 //!   production-scale hybrid day.
 
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
+#![allow(clippy::unwrap_used, reason = "test code: panics are acceptable here")]
 
 use chamulteon::{ArbitrationPolicy, Chamulteon, ChamulteonConfig, NestedPlanner, RetryPolicy};
 use chamulteon_bench::des_scale::headline_case;

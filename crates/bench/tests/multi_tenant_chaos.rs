@@ -9,9 +9,6 @@
 //! the controllers, so a crash restores the exact cluster state and the
 //! continuation is bit-identical to the crash-free run.
 
-// Example/test/bench code: panics are acceptable here.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
 use chamulteon::ArbitrationPolicy;
 use chamulteon_bench::multi_tenant::{
     run_multi_tenant, run_multi_tenant_recovered, MultiTenantSpec, TenantCrash,

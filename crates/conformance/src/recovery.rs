@@ -149,7 +149,6 @@ fn crash_points(rng: &mut StdRng, scenario: &Scenario, per_scenario: usize) -> V
 /// Runs one crash point: drive a fresh controller to `crash`, snapshot,
 /// encode → decode → re-encode (byte-stability), restore, and continue
 /// both it and the uninterrupted reference to the end of the scenario.
-#[allow(clippy::too_many_lines)]
 fn run_case(
     report: &mut OracleReport,
     model: &ApplicationModel,

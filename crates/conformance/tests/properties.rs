@@ -4,8 +4,6 @@
 //! targets of `algorithm1::oracle_decisions`, which shares no code with
 //! the implementation.
 
-#![allow(clippy::expect_used)]
-
 use chamulteon::{proactive_decisions, ChamulteonConfig};
 use chamulteon_conformance::algorithm1::oracle_decisions;
 use chamulteon_perfmodel::{topology, TopologyFamily};

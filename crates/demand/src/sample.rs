@@ -129,9 +129,12 @@ impl MonitoringSample {
                 });
             }
         }
-        // Validated non-negative finite counts: the saturating float-to-int
-        // cast is exact below 2^53 and cannot go negative.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "validated non-negative finite counts: the saturating float-to-int cast is \
+                      exact below 2^53 and cannot go negative"
+        )]
         let sample = Self::new(
             duration,
             arrivals.round() as u64,

@@ -1,13 +1,9 @@
 //! Property-based tests for demand estimation.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "test code: lossy casts are acceptable here"
 )]
 use chamulteon_demand::{service_demand_law, MonitoringSample, RollingDemandEstimator};
 use proptest::prelude::*;

@@ -32,7 +32,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0.0)` deliberately rejects NaN
+#![allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > 0.0)` deliberately rejects NaN"
+)]
 #![warn(missing_docs)]
 
 pub mod accounting;

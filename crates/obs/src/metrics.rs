@@ -7,20 +7,19 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-// audit:allow(R8): lock-free counters observe the decision path without perturbing it
-use std::sync::atomic::{AtomicU64, Ordering};
-// audit:allow(R8): registry interior mutability; never held across a decision
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// A monotonic counter, safe to bump from any thread.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+#[expect(clippy::disallowed_types, reason = "observes without perturbing")]
+pub struct Counter(std::sync::atomic::AtomicU64);
 
 impl Counter {
     /// Creates a counter starting at `value`.
+    #[expect(clippy::disallowed_types, reason = "observes without perturbing")]
     pub const fn new(value: u64) -> Counter {
-        Counter(AtomicU64::new(value))
+        Counter(std::sync::atomic::AtomicU64::new(value))
     }
 
     /// Adds `n` to the counter.
@@ -140,10 +139,11 @@ impl Histogram {
 /// poisoned lock silently drops the operation (observability must never
 /// take the controller down).
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "never held across a decision")]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: Mutex<BTreeMap<String, u64>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    counters: std::sync::Mutex<BTreeMap<String, u64>>,
+    histograms: std::sync::Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl Default for MetricsRegistry {
@@ -157,18 +157,18 @@ impl MetricsRegistry {
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
             enabled: true,
-            counters: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
+            ..MetricsRegistry::disabled()
         }
     }
 
     /// Creates a disabled registry: every mutation is a single-branch
     /// no-op and every read sees an empty registry.
+    #[expect(clippy::disallowed_types, reason = "never held across a decision")]
     pub const fn disabled() -> MetricsRegistry {
         MetricsRegistry {
             enabled: false,
-            counters: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
+            counters: std::sync::Mutex::new(BTreeMap::new()),
+            histograms: std::sync::Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -278,6 +278,10 @@ pub struct PhaseTimer {
     last: Option<Instant>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "its readings feed histograms, never a decision"
+)]
 impl PhaseTimer {
     /// Starts a timer; pass `enabled = false` to make every lap a no-op.
     pub fn start(enabled: bool) -> PhaseTimer {

@@ -8,8 +8,7 @@
 
 use crate::event::Event;
 use std::collections::VecDeque;
-// audit:allow(R8): shared trace sink; append-only, ordering restored at report time
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A sink for traced events.
 ///
@@ -75,17 +74,25 @@ struct RingState {
 /// A bounded in-memory recorder: keeps the most recent `capacity` events,
 /// counting (and dropping) the oldest ones past that.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "an append-only trace sink, read back in order"
+)]
 pub struct RingRecorder {
     capacity: usize,
-    inner: Mutex<RingState>,
+    inner: std::sync::Mutex<RingState>,
 }
 
 impl RingRecorder {
     /// Creates a ring holding at most `capacity` events (floored at 1).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "an append-only trace sink, read back in order"
+    )]
     pub fn new(capacity: usize) -> RingRecorder {
         RingRecorder {
             capacity: capacity.max(1),
-            inner: Mutex::new(RingState::default()),
+            inner: std::sync::Mutex::new(RingState::default()),
         }
     }
 

@@ -6,7 +6,11 @@
 //! strings) write exactly what `{}` Display and the per-byte escaper
 //! write.
 
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test code: panics are acceptable here"
+)]
 
 use chamulteon_obs::json::{self, JsonError, Writer, MAX_DEPTH};
 use proptest::prelude::*;

@@ -2,8 +2,7 @@
 //! the text and the value level, across randomly generated events of
 //! every schema kind.
 
-// Example/test/bench code: panics are acceptable here.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(clippy::unwrap_used, reason = "test code: panics are acceptable here")]
 
 use chamulteon_obs::{
     jsonl, ActuationOutcome, Event, EventKind, Provenance, Sizing, WarmAction, Winner,
@@ -15,7 +14,10 @@ use proptest::prelude::*;
 /// fields present or absent according to `mask` bits and payloads drawn
 /// from the remaining primitives. `rate` may be substituted with NaN
 /// (via bit 7 of the mask) to cover the non-finite → `null` path.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per primitive the property draws"
+)]
 fn build_event(
     kind_idx: usize,
     mask: u32,

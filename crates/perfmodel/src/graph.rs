@@ -49,8 +49,6 @@ impl InvocationGraph {
                 }
             }
             if from == to {
-                // A small index, reported in a diagnostic.
-                #[allow(clippy::cast_precision_loss)]
                 let value = from as f64;
                 return Err(ModelError::InvalidField {
                     field: "self_call",

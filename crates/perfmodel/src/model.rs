@@ -74,7 +74,10 @@ impl ApplicationModel {
     /// The paper's benchmark application (§IV-B): a chain of a UI service
     /// (0.059 s), a validation service (0.1 s) and a data service (0.04 s),
     /// each allowed 1–200 instances and starting at 1.
-    #[allow(clippy::expect_used)] // constants in try_paper_benchmark are statically valid
+    #[allow(
+        clippy::expect_used,
+        reason = "constants in try_paper_benchmark are statically valid"
+    )]
     pub fn paper_benchmark() -> Self {
         Self::try_paper_benchmark().expect("benchmark model is valid")
     }

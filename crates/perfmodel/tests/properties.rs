@@ -7,7 +7,11 @@
 //! permutation, so index order is generally not topological, and carry
 //! extra forward edges with duplicates and near-denormal multiplicities.
 
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: panics are acceptable here"
+)]
 
 use chamulteon_perfmodel::{
     topology, ApplicationModel, InvocationGraph, ModelError, ServiceSpec, TopologyFamily,

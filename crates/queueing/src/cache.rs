@@ -32,8 +32,13 @@
 //! change any report. Each experiment run scores through a fresh cache of
 //! its own.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "cache interior mutability; hits return memoized bit-identical values, and the \
+              map is only looked up by key, never iterated"
+)]
+
 use std::collections::HashMap;
-// audit:allow(R8): cache interior mutability; hits return memoized bit-identical values
 use std::sync::Mutex;
 
 use chamulteon_obs::Counter;
@@ -274,7 +279,10 @@ impl CapacityCache {
     /// Same contract as the underlying solver (evaluated at the bucket
     /// corner for valid inputs; validation errors come from the exact
     /// inputs, uncached).
-    #[allow(clippy::nonminimal_bool)]
+    #[allow(
+        clippy::nonminimal_bool,
+        reason = "`!(x > 0.0)` deliberately rejects NaN"
+    )]
     pub fn min_instances_for_response_time_quantile(
         &self,
         arrival_rate: f64,

@@ -17,11 +17,11 @@ use crate::mmn::MmnQueue;
 /// bounds (non-positive and NaN map to 0, overflow to `u32::MAX`). This is
 /// the designated place where capacity math narrows a float to an integer
 /// count, so every call site inherits the range check.
-// The value is checked non-negative and < u32::MAX before the cast.
 #[allow(
     clippy::as_conversions,
     clippy::cast_possible_truncation,
-    clippy::cast_sign_loss
+    clippy::cast_sign_loss,
+    reason = "the value is checked non-negative and < u32::MAX before the cast"
 )]
 #[must_use]
 pub fn saturating_f64_to_u32(value: f64) -> u32 {

@@ -18,7 +18,7 @@ use chamulteon_obs::{Event, EventKind, Obs};
 use chamulteon_queueing::capacity::min_instances_for_response_time_quantile;
 use std::hint::black_box;
 use std::process::Command;
-use std::sync::{Mutex, PoisonError};
+use std::sync::PoisonError;
 use std::time::Instant;
 
 const RATES: usize = 60;
@@ -34,7 +34,11 @@ const RATIO_TAG: &str = "obs-overhead-ratio:";
 
 /// Serialises the two tests, so that the in-process sample never times
 /// itself beside the children when the suite runs tests in parallel.
-static TIMING: Mutex<()> = Mutex::new(());
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test-only lock; no decision waits on it"
+)]
+static TIMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn solve(rate: f64, demand: f64) -> u32 {
     min_instances_for_response_time_quantile(rate, demand, 4.0 * demand, 0.95, 200).unwrap_or(0)
@@ -78,6 +82,7 @@ fn sweep_observed(obs: &Obs) -> u64 {
 }
 
 /// Seconds taken by `sweeps` back-to-back runs of `work`.
+#[expect(clippy::disallowed_methods, reason = "the one test that times runs")]
 fn time(sweeps: u32, work: &mut impl FnMut() -> u64) -> f64 {
     let start = Instant::now();
     for _ in 0..sweeps {
@@ -117,6 +122,7 @@ fn overhead_sample() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "re-runs its own test binary")]
 fn disabled_observability_is_under_five_percent() {
     let _timing = TIMING.lock().unwrap_or_else(PoisonError::into_inner);
     let exe = std::env::current_exe().expect("path of the running test binary");

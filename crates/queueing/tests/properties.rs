@@ -1,14 +1,5 @@
 //! Property-based tests for the queueing primitives.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
 use chamulteon_queueing::capacity::{
     self, min_instances_for_response_time, min_instances_for_response_time_quantile,
     min_instances_for_utilization,

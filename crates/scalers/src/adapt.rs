@@ -120,8 +120,8 @@ impl AutoScaler for Adapt {
 #[allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)] // test fixtures cast freely
+    reason = "test fixtures cast freely"
+)]
 mod tests {
     use super::*;
 

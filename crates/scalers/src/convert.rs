@@ -6,7 +6,7 @@
 #[allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "NaN, non-positive and out-of-range values saturate before the cast"
 )]
 pub(crate) fn usize_from_f64(value: f64) -> usize {
     if value.is_nan() || value <= 0.0 {
@@ -23,7 +23,7 @@ pub(crate) fn usize_from_f64(value: f64) -> usize {
 #[allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "NaN, non-positive and out-of-range values saturate before the cast"
 )]
 pub(crate) fn u64_from_f64(value: f64) -> u64 {
     if value.is_nan() || value <= 0.0 {
@@ -37,7 +37,10 @@ pub(crate) fn u64_from_f64(value: f64) -> u64 {
 
 /// Converts an instance delta computed in `f64` to `i64`, saturating at
 /// the bounds (NaN maps to 0).
-#[allow(clippy::cast_possible_truncation, clippy::cast_precision_loss)]
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "NaN and out-of-range values saturate before the cast"
+)]
 pub(crate) fn i64_from_f64(value: f64) -> i64 {
     if value.is_nan() {
         0

@@ -91,9 +91,10 @@ impl Reg {
 
 /// Solves a 3×3 linear system with Gaussian elimination; `None` when
 /// singular.
-// Index form reads clearer than iterator gymnastics over two rows of the
-// same matrix.
-#[allow(clippy::needless_range_loop)]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "index form reads clearer than iterator gymnastics over two rows of the same matrix"
+)]
 fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
     for col in 0..3 {
         let pivot = (col..3).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
@@ -168,8 +169,8 @@ impl AutoScaler for Reg {
 #[allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)] // test fixtures cast freely
+    reason = "test fixtures cast freely"
+)]
 mod tests {
     use super::*;
 

@@ -25,7 +25,6 @@ use std::cmp::Ordering;
 /// with `start += interval`: repeated addition drifts by an ulp every few
 /// thousand steps, so on long runs the accumulated schedule would diverge
 /// from the derived one and crash times would depend on the duration.
-#[allow(clippy::cast_precision_loss)] // k stays far below 2^52 intervals
 pub(crate) fn planned_crashes(
     plan: &FaultPlan,
     interval: f64,
@@ -1011,9 +1010,9 @@ impl Simulation {
     }
 
     #[allow(
-        clippy::cast_precision_loss,
         clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
+        clippy::cast_sign_loss,
+        reason = "the fluid backlog is clamped non-negative and rounded before it narrows"
     )]
     fn on_monitor_tick(&mut self) {
         let now = self.now;
@@ -1246,7 +1245,6 @@ impl Simulation {
     /// and SLO accounting streamed from the current tail classification.
     /// Conservation is enforced at the exit: completions are capped at
     /// `sent − completed`, so the integer identity can never go negative.
-    #[allow(clippy::cast_precision_loss)]
     fn aggregate_step(&mut self, t0: f64, t1: f64, dt: f64) {
         let mid = 0.5 * (t0 + t1);
         let lam0 = self.trace.rate_at(mid).max(0.0);
@@ -1398,7 +1396,6 @@ impl Simulation {
     /// events are cancelled and each gets one analytically sampled sojourn
     /// (a `StageDone` event) instead. The absorbed count seeds the fluid
     /// mass, so not a single in-flight request is created or destroyed.
-    #[allow(clippy::cast_precision_loss)]
     fn station_to_fluid(&mut self, service: usize) {
         let now = self.now;
         let mut ids: Vec<usize> = Vec::new();
@@ -1467,7 +1464,6 @@ impl Simulation {
     /// exactly `sent − completed`), the slab is emptied and the arrival
     /// process is suspended. From here on the only events are monitoring
     /// ticks, actuations and planned crashes.
-    #[allow(clippy::cast_precision_loss)]
     fn enter_aggregate(&mut self, now: f64) {
         let mut masses = vec![0u64; self.path.len()];
         for slot in &mut self.requests {
@@ -1502,9 +1498,9 @@ impl Simulation {
     /// stage), and the arrival process resumes from `now` under a salted
     /// seed — exact by memorylessness of the exponential.
     #[allow(
-        clippy::cast_precision_loss,
         clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
+        clippy::cast_sign_loss,
+        reason = "each stage's share is floored non-negative before it narrows"
     )]
     fn exit_aggregate(&mut self, now: f64, want_fluid: &[bool]) {
         let in_flight = self.total_sent - self.completed;
@@ -1648,8 +1644,8 @@ impl Simulation {
 #[allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)] // test fixtures cast freely
+    reason = "test fixtures cast freely"
+)]
 mod tests {
     use super::*;
     use crate::config::{DeploymentProfile, SloPolicy};

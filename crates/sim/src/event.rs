@@ -63,7 +63,7 @@ pub(crate) enum EventKind {
 }
 
 /// Handle to a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EventId(u64);
 
 /// One heap entry. Ordering is by time, then sequence number, both

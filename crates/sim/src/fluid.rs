@@ -342,7 +342,12 @@ pub(crate) struct Carry(f64);
 impl Carry {
     /// Adds `amount` (clamped to ≥ 0, NaN treated as 0) and returns the
     /// whole units accumulated so far, keeping the fractional remainder.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the carry is finite and non-negative, and its whole part saturates at `u64::MAX` \
+                  before the cast"
+    )]
     pub(crate) fn take(&mut self, amount: f64) -> u64 {
         let amount = if amount.is_finite() {
             amount.max(0.0)

@@ -12,7 +12,7 @@ use crate::fault::{CorruptionMode, FaultRecord};
 #[allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "NaN, non-positive and out-of-range times saturate before the cast"
 )]
 pub fn second_index(time: f64) -> usize {
     if time.is_nan() || time <= 0.0 {
@@ -79,7 +79,6 @@ pub struct ObservedSample {
     pub queue_length_end: usize,
 }
 
-#[allow(clippy::cast_precision_loss)] // u64 counts are far below 2^52 here
 impl ObservedSample {
     /// A faithful report of the ground-truth stats.
     pub fn from_stats(stats: &ServiceIntervalStats) -> Self {
@@ -323,7 +322,6 @@ mod tests {
         // Huge and infinite times saturate instead of wrapping.
         assert_eq!(second_index(f64::INFINITY), usize::MAX);
         assert_eq!(second_index(1e300), usize::MAX);
-        #[allow(clippy::cast_precision_loss)]
         let max = usize::MAX as f64;
         assert_eq!(second_index(max), usize::MAX);
         assert_eq!(second_index(max * 2.0), usize::MAX);

@@ -12,14 +12,11 @@
 //! 3. **Determinism** — the same seed and the same `FaultPlan` produce a
 //!    byte-identical `SimulationResult`, run after run, in every regime.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
     clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "test code: panics and lossy casts are acceptable here"
 )]
 use chamulteon_perfmodel::{ApplicationModel, ApplicationModelBuilder};
 use chamulteon_queueing::MmnQueue;

@@ -1,14 +1,6 @@
 //! Property-based tests for the discrete-event simulator.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
+#![allow(clippy::unwrap_used, reason = "test code: panics are acceptable here")]
 use chamulteon_perfmodel::{ApplicationModel, ApplicationModelBuilder};
 use chamulteon_sim::{DeploymentProfile, Simulation, SimulationConfig, SloPolicy};
 use chamulteon_workload::LoadTrace;

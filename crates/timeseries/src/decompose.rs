@@ -110,9 +110,11 @@ pub fn decompose_additive(
 /// Centered moving average with edge padding: interior points get the full
 /// symmetric window (2×m MA for even m), edges reuse the nearest full
 /// window value so the trend spans the whole series.
-// The even-period branch reads `values` at asymmetric offsets around `t`;
-// index form is the clearer notation.
-#[allow(clippy::needless_range_loop)]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "the even-period branch reads `values` at asymmetric offsets around `t`; index form \
+              is the clearer notation"
+)]
 fn centered_moving_average(values: &[f64], period: usize) -> Vec<f64> {
     let n = values.len();
     let half = period / 2;

@@ -110,9 +110,10 @@ pub fn periodogram(values: &[f64], max_freq: usize) -> Vec<f64> {
 ///
 /// Used by the AR(p) least-squares fit; sizes here are tiny (p ≤ ~10), so a
 /// dense O(n³) solve is appropriate.
-// Index form reads clearer than iterator gymnastics over two rows of the
-// same matrix.
-#[allow(clippy::needless_range_loop)]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "index form reads clearer than iterator gymnastics over two rows of the same matrix"
+)]
 pub fn solve_linear_system(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     if a.len() != n || a.iter().any(|row| row.len() != n) {

@@ -10,13 +10,7 @@
 //! clamp. A change to the forecasting code must leave the digest
 //! unchanged unless it means to change what a forecast reports.
 
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
+#![allow(clippy::unwrap_used, reason = "test code: panics are acceptable here")]
 
 use chamulteon_forecast::{
     ArForecaster, DriftForecaster, Forecaster, HoltForecaster, HoltWintersForecaster,

@@ -1,13 +1,10 @@
 //! Property-based tests for the forecasting crate.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
     clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "test code: panics and lossy casts are acceptable here"
 )]
 use chamulteon_forecast::stats::periodogram;
 use chamulteon_forecast::{

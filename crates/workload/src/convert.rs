@@ -6,7 +6,7 @@
 #[allow(
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "NaN, non-positive and out-of-range values saturate before the cast"
 )]
 pub(crate) fn usize_from_f64(value: f64) -> usize {
     if value.is_nan() || value <= 0.0 {

@@ -42,7 +42,10 @@ fn diurnal_shape(t: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `step` or `duration` is not positive.
-#[allow(clippy::expect_used)] // rates are clamped finite and non-negative above
+#[allow(
+    clippy::expect_used,
+    reason = "rates are clamped finite and non-negative above"
+)]
 pub fn wikipedia_like(seed: u64, step: f64, duration: f64) -> LoadTrace {
     assert!(
         step > 0.0 && duration > 0.0,
@@ -70,7 +73,10 @@ pub fn wikipedia_like(seed: u64, step: f64, duration: f64) -> LoadTrace {
 /// # Panics
 ///
 /// Panics if `step` or `duration` is not positive.
-#[allow(clippy::expect_used)] // rates are clamped finite and non-negative above
+#[allow(
+    clippy::expect_used,
+    reason = "rates are clamped finite and non-negative above"
+)]
 pub fn bibsonomy_like(seed: u64, step: f64, duration: f64) -> LoadTrace {
     assert!(
         step > 0.0 && duration > 0.0,

@@ -1,15 +1,5 @@
 //! Property-based tests for the workload crate.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
-
 use chamulteon_workload::LoadTrace;
 use proptest::prelude::*;
 

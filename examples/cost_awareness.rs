@@ -5,14 +5,11 @@
 //!
 //! Run with: `cargo run --release --example cost_awareness`
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
-    clippy::unwrap_used,
     clippy::expect_used,
-    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "example code: panics and lossy casts are acceptable here"
 )]
 use chamulteon_repro::core::{Chamulteon, ChamulteonConfig, ChargingModel};
 use chamulteon_repro::demand::MonitoringSample;

@@ -6,15 +6,6 @@
 //!
 //! Run with: `cargo run --release --example faulty_environment`
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
 use chamulteon_repro::bench::robustness::{robustness_lineup, FaultClass};
 use chamulteon_repro::bench::setups::smoke_test;
 use chamulteon_repro::bench::{default_threads, run_experiment_with_faults, ScalerKind};

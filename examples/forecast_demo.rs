@@ -4,14 +4,9 @@
 //!
 //! Run with: `cargo run --release --example forecast_demo`
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
-    clippy::unwrap_used,
     clippy::expect_used,
-    clippy::panic,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "example code: panics are acceptable here"
 )]
 use chamulteon_repro::forecast::{
     detect_season_length, mase, DriftDetector, Forecaster, NaiveForecaster,

@@ -5,14 +5,11 @@
 //!
 //! Run with: `cargo run --release --example hybrid_scaling`
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
-    clippy::unwrap_used,
     clippy::expect_used,
-    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "example code: panics and lossy casts are acceptable here"
 )]
 use chamulteon_repro::core::{hybrid_decisions, ChamulteonConfig, VerticalPolicy};
 use chamulteon_repro::perfmodel::ApplicationModel;

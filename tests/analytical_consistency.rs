@@ -2,14 +2,11 @@
 //! the analytical M/M/n model that Chamulteon and the metrics rely on —
 //! otherwise the controller would be steering with a wrong map.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
     clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "test code: panics and lossy casts are acceptable here"
 )]
 use chamulteon_repro::perfmodel::ApplicationModel;
 use chamulteon_repro::queueing::MmnQueue;

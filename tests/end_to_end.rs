@@ -1,14 +1,11 @@
 //! End-to-end integration tests: the full pipeline (workload → simulator →
 //! auto-scaler → metrics) across crates.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
 #![allow(
     clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::cast_precision_loss
+    reason = "test code: panics and lossy casts are acceptable here"
 )]
 use chamulteon_repro::bench::setups::smoke_test;
 use chamulteon_repro::bench::{run_experiment, ExperimentSpec, ScalerKind};

@@ -2,15 +2,7 @@
 //! hybrid vertical scaling, and nested VM pools — each exercised
 //! end-to-end against the simulator.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
+#![allow(clippy::unwrap_used, reason = "test code: panics are acceptable here")]
 use chamulteon_repro::core::{
     hybrid_decisions, proactive_decisions, Chamulteon, ChamulteonConfig, NestedPlanner,
     VerticalPolicy,

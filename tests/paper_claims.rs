@@ -3,15 +3,6 @@
 //! `chamulteon-exp paper` writes and EXPERIMENTS.md quotes; these tests
 //! keep the claims from silently regressing.
 
-// Example/test/bench code: panics and lossy casts are acceptable here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_precision_loss
-)]
 use chamulteon_repro::bench::setups::smoke_test;
 use chamulteon_repro::bench::{run_experiment, ExperimentSpec, ScalerKind};
 use chamulteon_repro::perfmodel::ApplicationModel;
@@ -98,7 +89,7 @@ fn reg_and_adapt_worst_user_metrics() {
     }
     let worst = reports
         .iter()
-        .min_by(|a, b| a.1.apdex.partial_cmp(&b.1.apdex).unwrap())
+        .min_by(|a, b| a.1.apdex.total_cmp(&b.1.apdex))
         .unwrap();
     assert!(
         worst.0 == "reg" || worst.0 == "adapt",
